@@ -33,7 +33,7 @@ from .filtered import (
 )
 from .partitions import Shape, Staircase
 from .permutations import valley_from_permutation
-from .problems import ProblemError, SchubertProblem, validate_problem
+from .problems import ProblemError, SchubertProblem, resolve_alpha, validate_problem
 from .oracle import iterate_monk, oracle_intersection_number
 
 __all__ = ["ParseError", "ProblemDocument", "parse_problem", "render_filtered_tableau", "main"]
@@ -182,20 +182,14 @@ def _cmd_count(doc: ProblemDocument, args) -> int:
 
 def _cmd_enumerate(doc: ProblemDocument, args) -> int:
     problem = doc.problem()
-    alpha = _effective_alpha(doc, args.alpha)
-    if alpha is not None and not set(alpha) >= set(problem.alpha):
-        raise ProblemError(
-            f"alpha {list(alpha)} does not contain every cut {list(problem.alpha)}"
-        )
-    if alpha is None or tuple(alpha) == problem.alpha:
+    alpha = resolve_alpha(problem, _effective_alpha(doc, args.alpha))
+    if alpha == problem.alpha:
         validate_problem(problem)
-        target = None
-    else:
-        target = Shape.full(Staircase(tuple(alpha), problem.n))
-    tableaux = enumerate_filtered_tableaux(problem, target)
-    blocks = ["\n".join(render_filtered_tableau(ft, k + 1)) for k, ft in enumerate(tableaux)]
-    blocks.append(f"count {len(tableaux)}")
-    print("\n\n".join(blocks))
+    tableaux = enumerate_filtered_tableaux(problem, Shape.full(Staircase(alpha, problem.n)))
+    total = 0
+    for total, ft in enumerate(tableaux, 1):
+        print("\n".join(render_filtered_tableau(ft, total)), end="\n\n")
+    print(f"count {total}")
     return 0
 
 

@@ -19,9 +19,11 @@ of the Schubert class of ``w``.
 
 Shapes travel through this module as embedded diagrams (see
 :mod:`lrflags.partitions`): ordinary partitions recording, per region
-row, the grid column of the last cell.  Chains are enumerated in
-lexicographic order on those diagrams and fillings in row-major
-lexicographic order per step, so output order is deterministic.
+row, the grid column of the last cell.  Counting and enumeration share
+one walk of the shape graph (``_shape_graph``): counting folds it into a
+dynamic program, enumeration trims it to the edges that reach the target
+and lists chains in lexicographic order on those diagrams, fillings in
+row-major lexicographic order per step, so output order is deterministic.
 """
 
 from __future__ import annotations
@@ -33,7 +35,7 @@ from typing import Iterator, Sequence
 
 from .partitions import Shape, Staircase
 from .permutations import ValleyPermutation, check_permutation
-from .problems import ProblemError, SchubertProblem, validate_problem
+from .problems import ProblemError, SchubertProblem, resolve_alpha, validate_problem
 from .tableaux import SkewShape, SkewTableau, count_lr_tableaux, enumerate_lr_tableaux, is_lr_tableau
 
 __all__ = [
@@ -202,89 +204,101 @@ class FilteredTableau:
                 raise ValueError(f"filling {i + 1} is not an LR tableau of content {lam}")
 
 
-def _structural_chains(
+def _shape_graph(
     terms: Sequence[tuple[int, tuple[int, ...]]],
     staircase: Staircase,
     target: tuple[int, ...],
-) -> Iterator[tuple[tuple[int, ...], ...]]:
-    """All chains satisfying the size and rectangle conditions, lex order."""
+) -> Iterator[dict[tuple[int, ...], list[tuple[tuple[int, ...], int]]]]:
+    """The shape graph, one step at a time.
+
+    For each term, yields every inner shape reachable from the empty
+    shape, mapped to its successors in ascending lexicographic order,
+    each with its Littlewood-Richardson multiplicity.  Successors that
+    cannot host the remaining steps, or carry no filling, are left out.
+    """
     rest_cuts = [a for a, _ in terms]
-
-    def walk(level: int, prefix: tuple[tuple[int, ...], ...]) -> Iterator[tuple[tuple[int, ...], ...]]:
-        if level == len(terms):
-            if prefix[-1] == target:
-                yield prefix
-            return
-        a, lam = terms[level]
-        for outer in _step_shapes(prefix[-1], a, sum(lam), staircase, target):
-            if _steps_can_host_rest(outer, target, staircase, rest_cuts[level + 1 :]):
-                yield from walk(level + 1, prefix + (outer,))
-
-    yield from walk(0, ((),))
+    level = [()]
+    for i, (a, lam) in enumerate(terms):
+        edges: dict[tuple[int, ...], list[tuple[tuple[int, ...], int]]] = {}
+        for inner in level:
+            succ = edges[inner] = []
+            for outer in _step_shapes(inner, a, sum(lam), staircase, target):
+                if not _steps_can_host_rest(outer, target, staircase, rest_cuts[i + 1 :]):
+                    continue
+                skew = _step_skew(outer, inner, staircase)
+                mult = count_lr_tableaux(skew.outer, skew.inner, lam)
+                if mult:
+                    succ.append((outer, mult))
+        yield edges
+        level = dict.fromkeys(outer for succ in edges.values() for outer, _ in succ)
 
 
 def enumerate_filtered_tableaux(
     problem: SchubertProblem, target: Shape | None = None
-) -> list[FilteredTableau]:
-    """All filtered tableaux for ``problem`` with the given target shape.
+) -> Iterator[FilteredTableau]:
+    """All filtered tableaux for ``problem`` with the given target shape, lazily.
 
     ``target`` defaults to the full staircase region of the problem's cut
-    set.  If the target size differs from the total content size the list
-    is empty.  Output order: lexicographic on the chain of embedded
+    set.  If the target size differs from the total content size nothing
+    is yielded.  Output order: lexicographic on the chain of embedded
     diagrams, then lexicographic per-step fillings.
+
+    The shape graph of :func:`count_filtered_tableaux` is trimmed back to
+    the edges that reach the target, then walked depth first on an
+    explicit stack; each distinct step lists its fillings once.
     """
     if target is None:
         target = Shape.full(problem.staircase)
     staircase = target.staircase
     if target.size != problem.total_size:
-        return []
-    results: list[FilteredTableau] = []
-    for chain in _structural_chains(problem.terms, staircase, target.embedded):
-        per_step = []
-        for i, (a, lam) in enumerate(problem.terms):
-            skew = _step_skew(chain[i + 1], chain[i], staircase)
-            fillings = enumerate_lr_tableaux(skew, lam)
-            if not fillings:
-                per_step = []
-                break
-            per_step.append(fillings)
-        if not per_step and problem.terms:
+        return
+    steps = list(_shape_graph(problem.terms, staircase, target.embedded))
+    live = {target.embedded}
+    for k in range(len(steps) - 1, -1, -1):
+        steps[k] = {
+            inner: [outer for outer, _ in succ if outer in live]
+            for inner, succ in steps[k].items()
+        }
+        live = {inner for inner, succ in steps[k].items() if succ}
+    fillings: dict[tuple, list[SkewTableau]] = {}
+    stack = [((),)]
+    while stack:
+        chain = stack.pop()
+        level = len(chain) - 1
+        if level < len(steps):
+            # successors pushed largest first, so chains pop in lex order
+            stack.extend(chain + (outer,) for outer in reversed(steps[level][chain[-1]]))
             continue
+        per_step = []
+        for i, (_, lam) in enumerate(problem.terms):
+            key = (chain[i], chain[i + 1], lam)
+            if key not in fillings:
+                skew = _step_skew(chain[i + 1], chain[i], staircase)
+                fillings[key] = enumerate_lr_tableaux(skew, lam)
+            per_step.append(fillings[key])
         for combo in iter_product(*per_step):
-            results.append(
-                FilteredTableau(staircase, problem.terms, chain, tuple(combo))
-            )
-    return results
+            yield FilteredTableau(staircase, problem.terms, chain, combo)
 
 
 def count_filtered_tableaux(problem: SchubertProblem, target: Shape | None = None) -> int:
     """Number of filtered tableaux, by dynamic programming over shapes.
 
-    Agrees with ``len(enumerate_filtered_tableaux(...))`` but never
-    materializes the chains; per-step multiplicities are cached
-    Littlewood-Richardson coefficients.
+    Folds the same shape graph that :func:`enumerate_filtered_tableaux`
+    walks, weighting each edge by its cached Littlewood-Richardson
+    multiplicity instead of listing fillings.
     """
     if target is None:
         target = Shape.full(problem.staircase)
-    staircase = target.staircase
     if target.size != problem.total_size:
         return 0
-    rest_cuts = [a for a, _ in problem.terms]
-    level: dict[tuple[int, ...], int] = {(): 1}
-    for i, (a, lam) in enumerate(problem.terms):
+    ways: dict[tuple[int, ...], int] = {(): 1}
+    for edges in _shape_graph(problem.terms, target.staircase, target.embedded):
         nxt: dict[tuple[int, ...], int] = {}
-        for inner, ways in level.items():
-            for outer in _step_shapes(inner, a, sum(lam), staircase, target.embedded):
-                if not _steps_can_host_rest(outer, target.embedded, staircase, rest_cuts[i + 1 :]):
-                    continue
-                skew = _step_skew(outer, inner, staircase)
-                mult = count_lr_tableaux(skew.outer, skew.inner, lam)
-                if mult:
-                    nxt[outer] = nxt.get(outer, 0) + ways * mult
-        level = nxt
-        if not level:
-            return 0
-    return level.get(target.embedded, 0)
+        for inner, succ in edges.items():
+            for outer, mult in succ:
+                nxt[outer] = nxt.get(outer, 0) + ways[inner] * mult
+        ways = nxt
+    return ways.get(target.embedded, 0)
 
 
 def intersection_number(
@@ -295,17 +309,8 @@ def intersection_number(
     With an explicit ``alpha`` strictly containing the problem's cut set
     the coefficient vanishes; ``alpha`` missing some cut is an error.
     """
-    term_cuts = set(problem.alpha)
-    if alpha is not None:
-        chosen = set(int(a) for a in alpha)
-        if not chosen or min(chosen) < 1 or max(chosen) > problem.n - 1:
-            raise ProblemError(f"alpha {sorted(chosen)} not contained in 1..{problem.n - 1}")
-        if not chosen >= term_cuts:
-            raise ProblemError(
-                f"alpha {sorted(chosen)} does not contain every cut {sorted(term_cuts)}"
-            )
-        if chosen != term_cuts:
-            return 0
+    if resolve_alpha(problem, alpha) != problem.alpha:
+        return 0
     validate_problem(problem)
     return count_filtered_tableaux(problem)
 

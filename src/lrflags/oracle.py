@@ -43,7 +43,7 @@ from .permutations import (
     swap_positions,
 )
 from .polynomials import IntPolynomial
-from .problems import ProblemError, SchubertProblem, refine_to_full, validate_problem
+from .problems import ProblemError, SchubertProblem, refine_to_full, resolve_alpha, validate_problem
 from .tableaux import SkewShape, enumerate_lr_tableaux
 
 __all__ = [
@@ -80,16 +80,20 @@ def schubert_polynomial(w: Sequence[int]) -> IntPolynomial:
     {(1, 0, 0): 1}
     """
     w = check_permutation(w)
-    if w in _schubert_cache:
-        return _schubert_cache[w]
     n = len(w)
-    ascent = next((i for i in range(n - 1) if w[i] < w[i + 1]), None)
-    if ascent is None:
-        poly = IntPolynomial.monomial(_staircase_exponents(n))
-    else:
-        higher = schubert_polynomial(swap_positions(w, ascent + 1, ascent + 2))
-        poly = higher.divided_difference(ascent + 1)
-    _schubert_cache[w] = poly
+    # climb first ascents up to a cached permutation or w0, then divide back down
+    climbed = []
+    u = w
+    while u not in _schubert_cache:
+        ascent = next((i for i in range(n - 1) if u[i] < u[i + 1]), None)
+        if ascent is None:
+            _schubert_cache[u] = IntPolynomial.monomial(_staircase_exponents(n))
+            break
+        climbed.append((u, ascent))
+        u = swap_positions(u, ascent + 1, ascent + 2)
+    poly = _schubert_cache[u]
+    for v, ascent in reversed(climbed):
+        poly = _schubert_cache[v] = poly.divided_difference(ascent + 1)
     return poly
 
 
@@ -190,14 +194,11 @@ def oracle_intersection_number(
     staircase coefficient.  With an explicit ``alpha`` the coefficient
     of the corresponding point class is extracted by duality instead.
     """
+    chosen = resolve_alpha(problem, alpha)
+    if chosen == problem.alpha:
+        validate_problem(problem)
     if alpha is not None:
-        chosen = tuple(sorted(set(int(a) for a in alpha)))
-        if not set(chosen) >= set(problem.alpha):
-            raise ProblemError(
-                f"alpha {list(chosen)} does not contain every cut {list(problem.alpha)}"
-            )
         return oracle_coefficient(longest_with_descents_in(chosen, problem.n), problem)
-    validate_problem(problem)
     full = refine_to_full(problem)
     return staircase_coefficient(_class_product(_term_words(full), full.n), full.n)
 

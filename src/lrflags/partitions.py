@@ -30,7 +30,6 @@ from typing import Iterable, Iterator
 
 __all__ = [
     "normalize_partition",
-    "is_partition",
     "contains",
     "conjugate",
     "fits_in_rectangle",
@@ -56,14 +55,6 @@ def normalize_partition(rows: Iterable[int]) -> tuple[int, ...]:
     while parts and parts[-1] == 0:
         parts = parts[:-1]
     return parts
-
-
-def is_partition(rows: Iterable[int]) -> bool:
-    try:
-        normalize_partition(rows)
-    except (ValueError, TypeError):
-        return False
-    return True
 
 
 def contains(outer: tuple[int, ...], inner: tuple[int, ...]) -> bool:

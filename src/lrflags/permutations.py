@@ -27,8 +27,6 @@ __all__ = [
     "longest",
     "length",
     "descent_set",
-    "inverse",
-    "compose",
     "dual",
     "swap_positions",
     "simple_transposition",
@@ -76,20 +74,6 @@ def descent_set(w: Sequence[int]) -> frozenset[int]:
     [3]
     """
     return frozenset(i + 1 for i in range(len(w) - 1) if w[i] > w[i + 1])
-
-
-def inverse(w: Sequence[int]) -> tuple[int, ...]:
-    inv = [0] * len(w)
-    for i, v in enumerate(w):
-        inv[v - 1] = i + 1
-    return tuple(inv)
-
-
-def compose(x: Sequence[int], y: Sequence[int]) -> tuple[int, ...]:
-    """The permutation ``x . y`` (apply ``y`` first)."""
-    if len(x) != len(y):
-        raise ValueError("cannot compose permutations of different sizes")
-    return tuple(x[v - 1] for v in y)
 
 
 def dual(w: Sequence[int]) -> tuple[int, ...]:

@@ -28,6 +28,7 @@ __all__ = [
     "SchubertProblem",
     "dimension",
     "validate_problem",
+    "resolve_alpha",
     "refine_problem",
     "refine_to_full",
 ]
@@ -126,6 +127,24 @@ def validate_problem(problem: SchubertProblem) -> tuple[int, ...]:
             f"dim(alpha) {want} for alpha={set(alpha)}"
         )
     return alpha
+
+
+def resolve_alpha(problem: SchubertProblem, alpha: Iterable[int] | None) -> tuple[int, ...]:
+    """The cut set to compute on: ``alpha`` sorted, or the problem's own.
+
+    An explicit ``alpha`` must lie in ``1..n-1`` and contain every cut of
+    the problem.  The dimension condition is left to :func:`validate_problem`.
+    """
+    if alpha is None:
+        return problem.alpha
+    chosen = tuple(sorted({int(a) for a in alpha}))
+    if not chosen or chosen[0] < 1 or chosen[-1] > problem.n - 1:
+        raise ProblemError(f"alpha {list(chosen)} not contained in 1..{problem.n - 1}")
+    if not set(chosen) >= set(problem.alpha):
+        raise ProblemError(
+            f"alpha {list(chosen)} does not contain every cut {list(problem.alpha)}"
+        )
+    return chosen
 
 
 def refine_problem(problem: SchubertProblem, b: int) -> SchubertProblem:

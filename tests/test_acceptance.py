@@ -82,7 +82,7 @@ def test_criterion_3_eighteen_by_rule_oracle_and_cli(seven_term_problem, tmp_pat
 
 def test_criterion_4_five_factor_example(five_factor_problem):
     start = time.monotonic()
-    tableaux = enumerate_filtered_tableaux(five_factor_problem)
+    tableaux = list(enumerate_filtered_tableaux(five_factor_problem))
     assert len(tableaux) == 4
     assert intersection_number(five_factor_problem) == 4
     per_chain = Counter(ft.chain for ft in tableaux)

@@ -142,6 +142,13 @@ def test_alpha_override_vanishes(tmp_path):
     assert (code, out) == (0, "rule=0 oracle=0 OK\n")
     code, out, _ = run(["enumerate", "--alpha", "{1,2}"], text=text, tmp_path=tmp_path)
     assert (code, out) == (0, "count 0\n")
+    # a bad alpha gets the same diagnostic from every command
+    for bad in ("{0,2}", "{}", "{1}"):
+        results = {run([cmd, "--alpha", bad], text=text, tmp_path=tmp_path)
+                   for cmd in ("count", "enumerate", "verify")}
+        assert len(results) == 1, results
+        code, out, err = results.pop()
+        assert (code, out) == (2, "") and "alpha" in err
 
 
 def test_alpha_from_file(tmp_path):
@@ -201,6 +208,14 @@ def test_enumerate_18_blocks(tmp_path):
     lines = out.splitlines()
     assert sum(1 for l in lines if l.startswith("tableau ")) == 18
     assert lines[-1] == "count 18"
+
+
+def test_enumerate_full_flag_n46(tmp_path):
+    # 1035 single boxes on Fl(46): one chain, far deeper than the recursion limit
+    text = "n = 46\n" + "".join(f"{a}: 1\n" for a in range(1, 46) for _ in range(46 - a))
+    code, out, _ = run(["enumerate"], text=text, tmp_path=tmp_path)
+    assert code == 0
+    assert out.splitlines()[-1] == "count 1"
 
 
 def reparse_enumeration(output: str, problem):

@@ -9,7 +9,7 @@ from lrflags.permutations import (
     valley_from_permutation,
     valley_from_shape,
 )
-from lrflags.problems import ProblemError, SchubertProblem
+from lrflags.problems import DimensionMismatchError, ProblemError, SchubertProblem
 from lrflags.filtered import (
     count_filtered_tableaux,
     count_monk_chains,
@@ -24,7 +24,7 @@ from lrflags.oracle import iterate_monk, monk_multiply, oracle_coefficient
 def test_six_box_problem_counts(six_box_problem):
     assert intersection_number(six_box_problem) == 2
     assert count_monk_chains(six_box_problem) == 2
-    tableaux = enumerate_filtered_tableaux(six_box_problem)
+    tableaux = list(enumerate_filtered_tableaux(six_box_problem))
     assert len(tableaux) == 2
     chains = {ft.shapes for ft in tableaux}
     assert chains == {
@@ -35,7 +35,7 @@ def test_six_box_problem_counts(six_box_problem):
 
 def test_enumeration_is_canonical_and_validates(six_box_problem, seven_term_problem):
     for problem in (six_box_problem, seven_term_problem):
-        tableaux = enumerate_filtered_tableaux(problem)
+        tableaux = list(enumerate_filtered_tableaux(problem))
         keys = [(ft.chain, tuple(f.entry_sequence() for f in ft.fillings)) for ft in tableaux]
         assert keys == sorted(keys)
         assert len(set(keys)) == len(keys)
@@ -43,9 +43,15 @@ def test_enumeration_is_canonical_and_validates(six_box_problem, seven_term_prob
             ft.validate()
 
 
+def test_enumeration_is_lazy(six_box_problem):
+    tableaux = enumerate_filtered_tableaux(six_box_problem)
+    assert iter(tableaux) is tableaux
+    assert next(tableaux).chain[0] == ()
+
+
 def test_count_matches_enumeration(six_box_problem, seven_term_problem, five_factor_problem):
     for problem in (six_box_problem, seven_term_problem, five_factor_problem):
-        assert count_filtered_tableaux(problem) == len(enumerate_filtered_tableaux(problem))
+        assert count_filtered_tableaux(problem) == len(list(enumerate_filtered_tableaux(problem)))
 
 
 def test_seven_term_problem(seven_term_problem):
@@ -58,7 +64,7 @@ def test_thirteen_box_problem(thirteen_box_problem):
 
 
 def test_five_factor_problem_structure(five_factor_problem):
-    tableaux = enumerate_filtered_tableaux(five_factor_problem)
+    tableaux = list(enumerate_filtered_tableaux(five_factor_problem))
     assert len(tableaux) == 4
     per_chain = Counter(ft.chain for ft in tableaux)
     assert len(per_chain) == 3
@@ -84,7 +90,7 @@ def test_gr24_four_boxes():
 def test_grassmannian_specialization_is_iterated_lr():
     # single cut: chains of partitions in the rectangle with LR fillings
     problem = SchubertProblem(5, ((2, (2, 1)), (2, (2, 1))))
-    assert intersection_number(problem) == len(enumerate_filtered_tableaux(problem))
+    assert intersection_number(problem) == len(list(enumerate_filtered_tableaux(problem)))
     from lrflags.tableaux import count_lr_tableaux
 
     by_hand = count_lr_tableaux((3, 3), (2, 1), (2, 1))
@@ -127,14 +133,14 @@ def test_grassmannian_specialization_more_cases():
 def test_all_empty_contents_single_tableau():
     problem = SchubertProblem(4, ((2, ()), (2, ())))
     target = Shape.empty(Staircase((2,), 4))
-    tableaux = enumerate_filtered_tableaux(problem, target)
+    tableaux = list(enumerate_filtered_tableaux(problem, target))
     assert len(tableaux) == 1
     assert count_filtered_tableaux(problem, target) == 1
 
 
 def test_size_mismatch_gives_empty_list(six_box_problem):
     target = Shape((2, 1), six_box_problem.staircase)
-    assert enumerate_filtered_tableaux(six_box_problem, target) == []
+    assert list(enumerate_filtered_tableaux(six_box_problem, target)) == []
     assert count_filtered_tableaux(six_box_problem, target) == 0
 
 
@@ -147,6 +153,11 @@ def test_superset_alpha_vanishes():
         intersection_number(problem, alpha=(1, 3))
     with pytest.raises(ProblemError):
         intersection_number(problem, alpha=(0, 2))
+    with pytest.raises(ProblemError):
+        intersection_number(problem, alpha=())
+    three_boxes = SchubertProblem(4, tuple((2, (1,)) for _ in range(3)))
+    with pytest.raises(DimensionMismatchError):
+        intersection_number(three_boxes, alpha=(2,))
 
 
 def test_valley_coefficient_examples(six_box_problem):
@@ -223,7 +234,7 @@ def test_monk_shape_tracks_chains(six_box_problem):
 def test_validate_rejects_corrupted_tableaux(six_box_problem):
     import dataclasses
 
-    ft = enumerate_filtered_tableaux(six_box_problem)[0]
+    ft = list(enumerate_filtered_tableaux(six_box_problem))[0]
     # swap two chain levels: the chain stops increasing
     bad_chain = ft.chain[:2] + (ft.chain[3], ft.chain[2]) + ft.chain[4:]
     broken = dataclasses.replace(ft, chain=bad_chain)

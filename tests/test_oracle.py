@@ -18,7 +18,7 @@ from lrflags.permutations import (
     valley_from_permutation,
 )
 from lrflags.polynomials import IntPolynomial
-from lrflags.problems import SchubertProblem
+from lrflags.problems import DimensionMismatchError, ProblemError, SchubertProblem
 from lrflags.oracle import (
     a_bruhat_leq,
     coefficient_identity_check,
@@ -48,6 +48,11 @@ def test_schubert_polynomial_base_cases():
     assert schubert_polynomial(identity(n)) == IntPolynomial.one(n)
     for a in range(1, n):
         assert schubert_polynomial(simple_transposition(n, a)) == sum_of_first_variables(a, n)
+
+
+def test_schubert_polynomial_of_large_identity():
+    # 1035 ascents to climb from the identity of S_46 up to w0
+    assert schubert_polynomial(identity(46)) == IntPolynomial.one(46)
 
 
 def test_schubert_polynomials_are_homogeneous_of_length_degree():
@@ -139,6 +144,13 @@ def test_oracle_alpha_override(six_box_problem):
     # duality route agrees with the refinement route on the honest cut set
     assert oracle_intersection_number(problem, alpha=(2,)) == 2
     assert oracle_intersection_number(six_box_problem, alpha=(1, 2, 3)) == 2
+    # alpha is checked exactly as the rule checks it
+    for bad in ((0, 2), (2, 4), (), (1, 3)):
+        with pytest.raises(ProblemError):
+            oracle_intersection_number(problem, alpha=bad)
+    three_boxes = SchubertProblem(4, tuple((2, (1,)) for _ in range(3)))
+    with pytest.raises(DimensionMismatchError):
+        oracle_intersection_number(three_boxes, alpha=(2,))
 
 
 def test_oracle_coefficient_top_and_identity(six_box_problem):

@@ -29,7 +29,7 @@ from lrflags.oracle import (
 def test_count_equals_enumeration_everywhere_small():
     for n in (2, 3, 4):
         for problem in all_valid_problems(n):
-            tableaux = enumerate_filtered_tableaux(problem)
+            tableaux = list(enumerate_filtered_tableaux(problem))
             assert count_filtered_tableaux(problem) == len(tableaux)
             for ft in tableaux:
                 ft.validate()
@@ -39,7 +39,7 @@ def test_count_equals_enumeration_random_n5():
     rng = random.Random(501)
     for _ in range(25):
         problem = random_valid_problem(rng, 5)
-        assert count_filtered_tableaux(problem) == len(enumerate_filtered_tableaux(problem))
+        assert count_filtered_tableaux(problem) == len(list(enumerate_filtered_tableaux(problem)))
 
 
 def test_intersection_number_ignores_order_of_equal_cuts(seven_term_problem):
