@@ -44,7 +44,7 @@ from .permutations import (
 )
 from .polynomials import IntPolynomial
 from .problems import ProblemError, SchubertProblem, refine_to_full, resolve_alpha, validate_problem
-from .tableaux import SkewShape, enumerate_lr_tableaux
+from .tableaux import count_lr_tableaux
 
 __all__ = [
     "schubert_polynomial",
@@ -386,6 +386,5 @@ def coefficient_identity_check(
     else:
         words = [v.word, grassmannian_permutation(a, lam, n), dual(w.word)]
         lhs = staircase_coefficient(_class_product(words, n), n)
-    skew = SkewShape(restrict_shape(mu, a, n), restrict_shape(nu, a, n))
-    rhs = len(enumerate_lr_tableaux(skew, lam))
+    rhs = count_lr_tableaux(restrict_shape(mu, a, n), restrict_shape(nu, a, n), lam)
     return lhs == rhs

@@ -13,14 +13,18 @@ tableau of content ``lam`` when
 The number of such fillings is the Littlewood-Richardson coefficient
 ``c^{outer/inner}_{lam}``.
 
-Enumeration is by backtracking over the cells in row-major order; the
-returned list is sorted lexicographically by the row-major entry
-sequence, which is the canonical order used throughout the package.
+Enumeration is one iterative backtracker that fills the cells in
+row-major order with ascending entries, so the list comes out sorted
+lexicographically by row-major entry sequence, the package's canonical
+order.  Rows weakly increase, so the ballot condition reduces to a
+constant-time check per placed cell: no more ``v`` placed than ``v-1``
+in the rows above.  Each finished filling still passes :func:`is_lr_tableau`.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import accumulate
 from typing import Iterable, Iterator, Sequence
 
 from .partitions import contains, normalize_partition
@@ -178,61 +182,55 @@ def enumerate_lr_tableaux(shape: SkewShape, lam: Iterable[int]) -> list[SkewTabl
     if shape.size != sum(lam):
         return []
     cells = list(shape.cells())
-    if not cells:
-        return [SkewTableau(shape, tuple(() for _ in shape.outer))]
+    n, m = len(cells), len(lam)
+    # each cell's left and upper neighbour in the skew shape; index n, a
+    # sentinel holding 0, stands for a missing one
+    where = {cell: k for k, cell in enumerate(cells)}
+    left = [where.get((r, c - 1), n) for r, c in cells]
+    up = [where.get((r - 1, c), n) for r, c in cells]
+    widths = (shape.outer[r - 1] - shape.inner_row(r) for r in range(1, len(shape.outer) + 1))
+    ends = list(accumulate(widths, initial=0))
 
-    max_entry = len(lam)
-    remaining = list(lam)
-    grid: dict[tuple[int, int], int] = {}
+    val = [0] * (n + 1)  # entry per cell, 0 while unplaced
+    run = [0] * (n + 1)  # entries equal to the cell's in its row, up to it
+    below = [0] * n  # entries one less than the cell's, left of it in its row
+    counts = [n + 1] + [0] * m  # counts[v]: entries v placed; counts[0] never binds
     results: list[SkewTableau] = []
-
-    def ballot_after_row(counts: list[int], r: int) -> bool:
-        # extend the prefix word by row r read right-to-left
-        first, last = shape.row_span(r)
-        for c in range(last, first - 1, -1):
-            v = grid[(r, c)]
-            counts[v - 1] += 1
-            if v > 1 and counts[v - 1] > counts[v - 2]:
-                return False
-        return True
-
-    def fill(k: int) -> None:
-        if k == len(cells):
-            rows = tuple(
-                tuple(grid[(r, c)] for c in range(shape.row_span(r)[0], shape.row_span(r)[1] + 1))
-                for r in range(1, len(shape.outer) + 1)
-            )
-            candidate = SkewTableau(shape, rows)
+    k = 0
+    while k >= 0:
+        if k == n:
+            candidate = SkewTableau(shape, tuple(tuple(val[a:b]) for a, b in zip(ends, ends[1:])))
             # final acceptance goes through the public predicate
             if is_lr_tableau(candidate, lam):
                 results.append(candidate)
-            return
-        r, c = cells[k]
-        lo = 1
-        if (r, c - 1) in grid:
-            lo = max(lo, grid[(r, c - 1)])
-        if (r - 1, c) in grid:
-            lo = max(lo, grid[(r - 1, c)] + 1)
-        row_done = c == shape.row_span(r)[1]
-        for v in range(lo, max_entry + 1):
-            if remaining[v - 1] == 0:
-                continue
-            grid[(r, c)] = v
-            remaining[v - 1] -= 1
-            ok = True
-            if row_done:
-                # prune on the ballot condition over completed rows
-                counts = [0] * max_entry
-                ok = all(ballot_after_row(counts, rr) for rr in range(1, r + 1))
-            if ok:
-                fill(k + 1)
-            remaining[v - 1] += 1
-            del grid[(r, c)]
-
-    fill(0)
+            k -= 1
+            continue
+        v, west = val[k], left[k]
+        if v:
+            counts[v] -= 1
+        v = max(v + 1, val[west], val[up[k]] + 1)
+        # Ballot check.  A row weakly increases, so read right to left it
+        # gives all its v before its v-1: (iii) holds iff, after placing v
+        # in row r, the v placed so far number at most the v-1 in rows
+        # 1..r-1.  Those are counts[v-1] less the v-1 left of this cell.
+        while v <= m:
+            in_row = below[west] if val[west] == v else run[west] if val[west] == v - 1 else 0
+            if counts[v] < lam[v - 1] and counts[v] < counts[v - 1] - in_row:
+                break
+            v += 1
+        else:
+            val[k] = 0
+            k -= 1
+            continue
+        val[k] = v
+        counts[v] += 1
+        run[k] = run[west] + 1 if val[west] == v else 1
+        below[k] = in_row
+        k += 1
     return results
 
 
+_COUNT_CACHE_CAP = 1 << 16  # count_lr_tableaux clears its cache at this size
 _count_cache: dict[tuple[tuple[int, ...], tuple[int, ...], tuple[int, ...]], int] = {}
 
 
@@ -245,5 +243,7 @@ def count_lr_tableaux(
     lam = normalize_partition(lam)
     key = (outer, inner, lam)
     if key not in _count_cache:
+        if len(_count_cache) >= _COUNT_CACHE_CAP:
+            _count_cache.clear()
         _count_cache[key] = len(enumerate_lr_tableaux(SkewShape(outer, inner), lam))
     return _count_cache[key]

@@ -1,8 +1,11 @@
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
+import lrflags
 from lrflags import cli
 from lrflags.cli import ParseError, parse_problem
 from lrflags.filtered import FilteredTableau
@@ -218,6 +221,14 @@ def test_enumerate_full_flag_n46(tmp_path):
     assert out.splitlines()[-1] == "count 1"
 
 
+def test_count_one_step_of_1024_cells(tmp_path):
+    # 32 rows of 32 on Gr(32,64): one LR step of 1024 cells, far more than
+    # the recursion limit
+    text = "n = 64\n32: " + ",".join(["32"] * 32) + "\n"
+    code, out, _ = run(["count"], text=text, tmp_path=tmp_path)
+    assert (code, out) == (0, "1\n")
+
+
 def reparse_enumeration(output: str, problem):
     """Test-only reader: rebuild FilteredTableau objects from cmd output."""
     staircase = problem.staircase
@@ -304,16 +315,21 @@ def test_comma_separated_permutation_parsing():
 def test_cli_as_subprocess(tmp_path):
     path = tmp_path / "p.txt"
     path.write_text(SIX_BOX)
+    # the child interpreter does not see pytest's pythonpath, so put the
+    # directory holding the imported package first on its PYTHONPATH
+    package_root = str(Path(lrflags.__file__).resolve().parent.parent)
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, (package_root, env.get("PYTHONPATH"))))
     proc = subprocess.run(
         [sys.executable, "-m", "lrflags.cli", "verify", str(path)],
-        capture_output=True, text=True,
+        capture_output=True, text=True, env=env,
     )
     assert proc.returncode == 0
     assert proc.stdout == "rule=2 oracle=2 OK\n"
 
     proc = subprocess.run(
         [sys.executable, "-m", "lrflags.cli", "count", "-"],
-        input=SIX_BOX, capture_output=True, text=True,
+        input=SIX_BOX, capture_output=True, text=True, env=env,
     )
     assert proc.returncode == 0
     assert proc.stdout == "2\n"

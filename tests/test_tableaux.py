@@ -2,6 +2,7 @@ from itertools import product
 
 import pytest
 
+from lrflags import tableaux
 from lrflags.partitions import partitions_in_box
 from lrflags.tableaux import (
     SkewShape,
@@ -120,6 +121,7 @@ def test_enumerator_matches_brute_force():
             fast = enumerate_lr_tableaux(shape, lam)
             slow = brute_force_lr(shape, lam)
             assert [t.rows for t in fast] == [t.rows for t in slow], (outer, inner, lam)
+            assert count_lr_tableaux(outer, inner, lam) == len(slow), (outer, inner, lam)
 
 
 def test_straight_shape_uniqueness():
@@ -156,6 +158,18 @@ def test_count_is_cached_len():
     assert count_lr_tableaux((3, 2, 1), (2, 1), (2, 1)) == 2
     assert count_lr_tableaux((2, 2), (2,), (1,)) == 0
     assert count_lr_tableaux((2, 1), (), (2, 1)) == 1
+
+
+def test_count_cache_stays_bounded(monkeypatch):
+    monkeypatch.setattr(tableaux, "_COUNT_CACHE_CAP", 4)
+    monkeypatch.setattr(tableaux, "_count_cache", {})
+    outer = (3, 2, 1)
+    calls = [(inner, lam) for inner in ((3,), (2, 1), (1, 1, 1)) for lam in ((3,), (2, 1), (1, 1, 1))]
+    for _ in range(2):
+        for inner, lam in calls:
+            expected = len(brute_force_lr(SkewShape(outer, inner), lam))
+            assert count_lr_tableaux(outer, inner, lam) == expected, (inner, lam)
+            assert 0 < len(tableaux._count_cache) <= 4
 
 
 def test_lr_symmetric_sum_in_box():
