@@ -101,34 +101,35 @@ def _step_shapes(
 
     out: list[tuple[int, ...]] = []
     current = [0] * m
-
-    def choose(i: int, prev: int, todo: int) -> None:
+    # depth first on an explicit stack of (row, row length, cells left);
+    # a popped entry fixes current[row], and children are pushed largest
+    # first, so shapes come out in ascending lexicographic order
+    stack = [(-1, staircase.width, size)]
+    while stack:
+        i, prev, todo = stack.pop()
+        if i >= 0:
+            current[i] = prev
+        i += 1
         if todo > slack[i]:
-            return
+            continue
         if i == m:
             if todo == 0:
                 emb = tuple(current)
                 while emb and emb[-1] == 0:
                     emb = emb[:-1]
                 out.append(emb)
-            return
+            continue
         lo = nu[i]
         hi = min(tau[i], prev)
-        blocked = i >= a or max(nu[i], off[i]) < left_wall
-        for e in range(lo, hi + 1):
-            if e > lo:
-                if blocked:
-                    break
-                if e <= off[i]:
-                    continue
-            added = _boxes(e, off[i]) - _boxes(nu[i], off[i])
-            if added > todo:
-                break
-            current[i] = e
-            # passing e as the next cap also forbids cells below an empty row
-            choose(i + 1, e, todo - added)
-
-    choose(0, staircase.width, size)
+        if lo > hi:
+            continue
+        if i < a and max(lo, off[i]) >= left_wall:
+            # row i may end at e > max(lo, offset), adding e - offset - base <= todo cells
+            base = _boxes(lo, off[i])
+            for e in range(min(hi, off[i] + base + todo), max(lo, off[i]), -1):
+                # e as the next row's cap also forbids cells below an empty row
+                stack.append((i, e, todo - (e - off[i] - base)))
+        stack.append((i, lo, todo))
     return out
 
 

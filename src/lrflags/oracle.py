@@ -8,21 +8,18 @@ ingredient is the definition of the Grassmannian permutation attached to
 a term ``(a, lam)``.
 
 Coefficient extraction: the cohomology ring is the polynomial ring
-modulo symmetric functions, and the composite of divided differences
-along the longest permutation annihilates that ideal while sending the
-top Schubert polynomial to 1.  Applying it to a homogeneous polynomial
-of top degree therefore reads off the point-class coefficient; the raw
-coefficient of the staircase monomial would overcount, because products
-of Schubert polynomials contain basis members indexed outside S_n that
-also involve the staircase monomial.  Coefficients of lower classes
-follow by Poincare duality: the class of ``w`` pairs with the class of
-``w0 . w``.
+modulo symmetric functions, and the divided difference of the longest
+permutation, ``Delta^-1 sum_w sgn(w) w`` (``Delta`` the Vandermonde
+determinant), annihilates that ideal while sending the top Schubert
+polynomial to 1.  In top degree it is the signed sum of the coefficients
+of the permuted staircase monomials; the raw staircase coefficient alone
+would overcount, because products of Schubert polynomials contain basis
+members indexed outside S_n that also involve the staircase monomial.
 
-For a problem on cuts ``alpha``, the coefficient of the point class of
-the partial flag manifold equals, after inserting the complementary
-rectangle for each missing cut, the coefficient of the point class of
-the full flag manifold; that refinement is how the oracle reduces every
-problem to a staircase-coefficient computation.
+For a problem on cuts ``alpha``, the point class of the partial flag
+manifold is the class of the longest permutation ``w`` with descents in
+``alpha``; its coefficient follows by Poincare duality, pairing with the
+class of ``w0 . w``.
 """
 
 from __future__ import annotations
@@ -43,6 +40,7 @@ from .permutations import (
     swap_positions,
 )
 from .polynomials import IntPolynomial
+# refine_to_full is unused here, but the layer tracer patches this module's name for it
 from .problems import ProblemError, SchubertProblem, refine_to_full, resolve_alpha, validate_problem
 from .tableaux import count_lr_tableaux
 
@@ -62,6 +60,7 @@ __all__ = [
     "coefficient_identity_check",
 ]
 
+_SCHUBERT_CACHE_CAP = 1 << 16  # schubert_polynomial clears its cache at this size
 _schubert_cache: dict[tuple[int, ...], IntPolynomial] = {}
 
 
@@ -81,6 +80,8 @@ def schubert_polynomial(w: Sequence[int]) -> IntPolynomial:
     """
     w = check_permutation(w)
     n = len(w)
+    if len(_schubert_cache) >= _SCHUBERT_CACHE_CAP:
+        _schubert_cache.clear()
     # climb first ascents up to a cached permutation or w0, then divide back down
     climbed = []
     u = w
@@ -101,8 +102,8 @@ def staircase_coefficient(poly: IntPolynomial, n: int) -> int:
     """Coefficient of the point class: the staircase-monomial coefficient
     of the polynomial's image in the span of the S_n Schubert basis.
 
-    Computed by applying divided differences along a reduced word of the
-    longest permutation, which kills multiples of positive-degree
+    Computed as the signed sum of the coefficients of the permutations of
+    the staircase monomial, which kills multiples of positive-degree
     symmetric functions and leaves exactly that coefficient.  The
     polynomial must be homogeneous of the top degree ``n(n-1)/2``.
     """
@@ -116,13 +117,15 @@ def staircase_coefficient(poly: IntPolynomial, n: int) -> int:
             f"expected a homogeneous polynomial of degree {top}, "
             f"got degree {poly.total_degree()}"
         )
-    out = poly
-    for k in range(1, n):
-        for i in range(k, 0, -1):
-            out = out.divided_difference(i)
-    if out.is_zero:
-        return 0
-    return out.coefficient((0,) * poly.nvars)
+    # The cascade along w0 is Delta^-1 sum_s sgn(s) s, a constant in top
+    # degree.  Delta has coefficient 1 on the staircase monomial, so that
+    # constant is the staircase coefficient of sum_s sgn(s) s(poly).
+    total = 0
+    for exps, coeff in poly.terms().items():
+        if max(exps) < n and len(set(exps)) == n:
+            ascents = sum(exps[i] < exps[j] for i in range(n) for j in range(i + 1, n))
+            total += -coeff if ascents % 2 else coeff
+    return total
 
 
 def _class_product(words: Iterable[tuple[int, ...]], n: int) -> IntPolynomial:
@@ -188,19 +191,15 @@ def oracle_intersection_number(
 ) -> int:
     """Coefficient of the point class, computed without the tableau rule.
 
-    Default route: refine the problem to the full flag manifold by
-    inserting complementary rectangles, multiply the Schubert
-    polynomials of its Grassmannian permutations, and read off the
-    staircase coefficient.  With an explicit ``alpha`` the coefficient
-    of the corresponding point class is extracted by duality instead.
+    One route for every cut set: multiply the Schubert polynomials of the
+    problem's Grassmannian permutations and that of the dual of the
+    longest permutation with descents in ``alpha`` (the problem's own
+    cuts by default), then take the staircase coefficient.
     """
     chosen = resolve_alpha(problem, alpha)
     if chosen == problem.alpha:
         validate_problem(problem)
-    if alpha is not None:
-        return oracle_coefficient(longest_with_descents_in(chosen, problem.n), problem)
-    full = refine_to_full(problem)
-    return staircase_coefficient(_class_product(_term_words(full), full.n), full.n)
+    return oracle_coefficient(longest_with_descents_in(chosen, problem.n), problem)
 
 
 def oracle_coefficient(w: Sequence[int], problem: SchubertProblem) -> int:

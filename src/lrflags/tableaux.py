@@ -238,9 +238,12 @@ def count_lr_tableaux(
     outer: tuple[int, ...], inner: tuple[int, ...], lam: tuple[int, ...]
 ) -> int:
     """The Littlewood-Richardson coefficient ``c^{outer/inner}_{lam}``, cached."""
-    outer = normalize_partition(outer)
-    inner = normalize_partition(inner)
-    lam = normalize_partition(lam)
+    try:
+        # only normalized keys are stored, so a hit needs no normalizing
+        return _count_cache[outer, inner, lam]
+    except (KeyError, TypeError):  # a miss, or unhashable lists
+        pass
+    outer, inner, lam = (normalize_partition(p) for p in (outer, inner, lam))
     key = (outer, inner, lam)
     if key not in _count_cache:
         if len(_count_cache) >= _COUNT_CACHE_CAP:

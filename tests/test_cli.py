@@ -229,6 +229,14 @@ def test_count_one_step_of_1024_cells(tmp_path):
     assert (code, out) == (0, "1\n")
 
 
+def test_count_one_term_of_1000_rows(tmp_path):
+    # 1000 rows of 1 at cut 1000 of n = 1001: shape stepping walks one
+    # region row at a time, far more rows than the recursion limit
+    text = "n = 1001\n1000: " + ",".join(["1"] * 1000) + "\n"
+    code, out, _ = run(["count"], text=text, tmp_path=tmp_path)
+    assert (code, out) == (0, "1\n")
+
+
 def reparse_enumeration(output: str, problem):
     """Test-only reader: rebuild FilteredTableau objects from cmd output."""
     staircase = problem.staircase

@@ -1,7 +1,9 @@
 import itertools
+import random
 
 import pytest
 
+from lrflags import oracle
 from lrflags.partitions import partitions_in_box
 from lrflags.permutations import (
     all_valley_permutations,
@@ -21,6 +23,7 @@ from lrflags.polynomials import IntPolynomial
 from lrflags.problems import DimensionMismatchError, ProblemError, SchubertProblem
 from lrflags.oracle import (
     a_bruhat_leq,
+    class_coefficient,
     coefficient_identity_check,
     descent_support_check,
     iterate_monk,
@@ -65,24 +68,36 @@ def test_schubert_polynomials_are_homogeneous_of_length_degree():
         assert all(e[-1] == 0 for e in poly.terms())
 
 
-def test_schubert_independent_of_reduction_path():
-    # recompute along the lexicographically last ascent instead of the first
-    def via_last_ascent(w, cache={}):
-        w = tuple(w)
-        if w in cache:
-            return cache[w]
-        n = len(w)
-        ascent = next((i for i in range(n - 2, -1, -1) if w[i] < w[i + 1]), None)
-        if ascent is None:
-            poly = IntPolynomial.monomial(tuple(range(n - 1, -1, -1)))
-        else:
-            poly = via_last_ascent(swap_positions(w, ascent + 1, ascent + 2)).divided_difference(ascent + 1)
-        cache[w] = poly
-        return poly
+def via_last_ascent(w, cache={}):
+    """Schubert polynomial along the lexicographically last ascent instead
+    of the first; the reference for the library's construction."""
+    w = tuple(w)
+    if w in cache:
+        return cache[w]
+    n = len(w)
+    ascent = next((i for i in range(n - 2, -1, -1) if w[i] < w[i + 1]), None)
+    if ascent is None:
+        poly = IntPolynomial.monomial(tuple(range(n - 1, -1, -1)))
+    else:
+        poly = via_last_ascent(swap_positions(w, ascent + 1, ascent + 2)).divided_difference(ascent + 1)
+    cache[w] = poly
+    return poly
 
+
+def test_schubert_independent_of_reduction_path():
     for n in (2, 3, 4, 5):
         for w in itertools.permutations(range(1, n + 1)):
             assert schubert_polynomial(w) == via_last_ascent(w), w
+
+
+def test_schubert_cache_stays_bounded(monkeypatch):
+    cap, n = 5, 4
+    monkeypatch.setattr(oracle, "_SCHUBERT_CACHE_CAP", cap)
+    monkeypatch.setattr(oracle, "_schubert_cache", {})
+    for w in itertools.permutations(range(1, n + 1)):
+        assert schubert_polynomial(w) == via_last_ascent(w), w
+        # one call adds at most its climb to w0 and w0 itself
+        assert 0 < len(oracle._schubert_cache) <= cap + n * (n - 1) // 2
 
 
 def test_grassmannian_schubert_is_schur_like():
@@ -103,6 +118,27 @@ def test_staircase_coefficient_basics():
             IntPolynomial.one(n) + schubert_polynomial(longest(n)), n
         )
     assert staircase_coefficient(IntPolynomial.zero(n), n) == 0
+
+
+def test_staircase_coefficient_matches_cascade_on_random_polynomials():
+    # arbitrary top-degree polynomials, not only products of Schubert
+    # polynomials: every exponent (x_n included) and signed coefficients
+    rng = random.Random(2024)
+    for n in (2, 3, 4, 5):
+        top = n * (n - 1) // 2
+        for _ in range(40):
+            terms = {}
+            for _ in range(rng.randint(1, 12)):
+                cuts = sorted(rng.randint(0, top) for _ in range(n - 1))
+                exps = tuple(b - a for a, b in zip([0] + cuts, cuts + [top]))
+                terms[exps] = rng.choice((-1, 1)) * rng.randint(1, 9)
+            for _ in range(rng.randint(0, 4)):
+                exps = rng.sample(range(n - 1, -1, -1), n)
+                terms[tuple(exps)] = rng.choice((-1, 1)) * rng.randint(1, 9)
+            poly = IntPolynomial(n, terms)
+            if poly.is_zero:
+                continue
+            assert staircase_coefficient(poly, n) == class_coefficient(poly, longest(n)), terms
 
 
 def test_staircase_coefficient_sees_through_the_ideal():

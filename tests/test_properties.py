@@ -88,20 +88,21 @@ def test_box_specialization_chains_equal_rule():
 
 
 def test_rule_matches_oracle_on_nonzero_n7_sample():
-    # beyond the acceptance sweep: a taller ambient, biased to problems
+    # beyond the acceptance sweep: taller ambients, biased to problems
     # whose answer is at least 2 so the agreement is informative
-    rng = random.Random(77)
-    found = 0
-    tried = 0
-    while found < 8 and tried < 400:
-        problem = random_valid_problem(rng, 7)
-        tried += 1
-        rule = intersection_number(problem)
-        if rule < 2:
-            continue
-        assert oracle_intersection_number(problem) == rule, problem
-        found += 1
-    assert found == 8
+    for n, seed in ((7, 77), (8, 78)):
+        rng = random.Random(seed)
+        found = 0
+        tried = 0
+        while found < 8 and tried < 400:
+            problem = random_valid_problem(rng, n)
+            tried += 1
+            rule = intersection_number(problem)
+            if rule < 2:
+                continue
+            assert oracle_intersection_number(problem) == rule, problem
+            found += 1
+        assert found == 8, n
 
 
 def test_valley_matches_oracle_even_below_floor():

@@ -3,7 +3,7 @@ from itertools import product
 import pytest
 
 from lrflags import tableaux
-from lrflags.partitions import partitions_in_box
+from lrflags.partitions import normalize_partition, partitions_in_box
 from lrflags.tableaux import (
     SkewShape,
     SkewTableau,
@@ -170,6 +170,15 @@ def test_count_cache_stays_bounded(monkeypatch):
             expected = len(brute_force_lr(SkewShape(outer, inner), lam))
             assert count_lr_tableaux(outer, inner, lam) == expected, (inner, lam)
             assert 0 < len(tableaux._count_cache) <= 4
+    # lists and trailing zeros are looked up under the normalized key
+    expected = len(brute_force_lr(SkewShape(outer, (2, 1)), (2, 1)))
+    for args in (([3, 2, 1], [2, 1], [2, 1]), ((3, 2, 1, 0), (2, 1, 0), (2, 1, 0, 0))):
+        assert count_lr_tableaux(*args) == expected, args
+    assert ((3, 2, 1), (2, 1), (2, 1)) in tableaux._count_cache
+    # invalid input is never cached and still raises
+    with pytest.raises(ValueError):
+        count_lr_tableaux((1, 2), (), (3,))
+    assert all(key == tuple(map(normalize_partition, key)) for key in tableaux._count_cache)
 
 
 def test_lr_symmetric_sum_in_box():
