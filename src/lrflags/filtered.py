@@ -121,15 +121,20 @@ def _step_shapes(
             continue
         lo = nu[i]
         hi = min(tau[i], prev)
-        if lo > hi:
-            continue
-        if i < a and max(lo, off[i]) >= left_wall:
-            # row i may end at e > max(lo, offset), adding e - offset - base <= todo cells
-            base = _boxes(lo, off[i])
-            for e in range(min(hi, off[i] + base + todo), max(lo, off[i]), -1):
-                # e as the next row's cap also forbids cells below an empty row
-                stack.append((i, e, todo - (e - off[i] - base)))
-        stack.append((i, lo, todo))
+        blocked = i >= a or max(nu[i], off[i]) < left_wall
+        children = []
+        for e in range(lo, hi + 1):
+            if e > lo:
+                if blocked:
+                    break
+                if e <= off[i]:
+                    continue
+            added = _boxes(e, off[i]) - _boxes(nu[i], off[i])
+            if added > todo:
+                break
+            # e as the next row's cap also forbids cells below an empty row
+            children.append((i, e, todo - added))
+        stack.extend(reversed(children))
     return out
 
 

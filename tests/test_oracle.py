@@ -177,7 +177,7 @@ def test_oracle_alpha_override(six_box_problem):
     problem = SchubertProblem(4, tuple((2, (1,)) for _ in range(4)))
     assert oracle_intersection_number(problem, alpha=(1, 2)) == 0
     assert oracle_intersection_number(problem, alpha=(2, 3)) == 0
-    # duality route agrees with the refinement route on the honest cut set
+    # an explicit alpha equal to the problem's own cut set
     assert oracle_intersection_number(problem, alpha=(2,)) == 2
     assert oracle_intersection_number(six_box_problem, alpha=(1, 2, 3)) == 2
     # alpha is checked exactly as the rule checks it
