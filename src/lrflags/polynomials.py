@@ -1,12 +1,13 @@
 """Multivariate polynomials with exact integer coefficients.
 
-Terms are stored as a map from exponent tuples (fixed length) to Python
-integers, so all arithmetic is exact at any size.  Zero coefficients are
-never stored.
+Terms are stored as a map from exponent tuples (fixed length, entries
+non-negative) to Python integers, so all arithmetic is exact at any
+size.  Zero coefficients are never stored.
 """
 
 from __future__ import annotations
 
+from operator import mul
 from typing import Iterable, Mapping
 
 __all__ = ["IntPolynomial"]
@@ -25,7 +26,19 @@ class IntPolynomial:
                 if coeff:
                     if len(exps) != nvars:
                         raise ValueError(f"exponent tuple {exps} has wrong arity")
+                    if min(exps, default=0) < 0:
+                        raise ValueError(f"exponent tuple {exps} has a negative exponent")
                     self._terms[tuple(exps)] = int(coeff)
+
+    @classmethod
+    def _wrap(cls, nvars: int, terms: dict[tuple[int, ...], int]) -> "IntPolynomial":
+        """Adopt ``terms`` unchecked: arithmetic results are already keyed
+        by ``nvars``-tuples of non-negative exponents with no zero
+        coefficient."""
+        poly = cls.__new__(cls)
+        poly.nvars = nvars
+        poly._terms = terms
+        return poly
 
     @classmethod
     def zero(cls, nvars: int) -> "IntPolynomial":
@@ -83,10 +96,10 @@ class IntPolynomial:
                 out[exps] = new
             else:
                 out.pop(exps, None)
-        return IntPolynomial(self.nvars, out)
+        return IntPolynomial._wrap(self.nvars, out)
 
     def __neg__(self) -> "IntPolynomial":
-        return IntPolynomial(self.nvars, {e: -c for e, c in self._terms.items()})
+        return IntPolynomial._wrap(self.nvars, {e: -c for e, c in self._terms.items()})
 
     def __sub__(self, other: "IntPolynomial") -> "IntPolynomial":
         return self + (-other)
@@ -97,19 +110,36 @@ class IntPolynomial:
         return IntPolynomial(self.nvars, {e: scalar * c for e, c in self._terms.items()})
 
     def __mul__(self, other: "IntPolynomial") -> "IntPolynomial":
+        """Product of two polynomials, or of a polynomial and an integer.
+
+        Each exponent tuple ``e`` is packed into the integer
+        ``sum(e[i] * base**i)`` with ``base`` one more than the largest
+        exponent of ``self`` plus the largest exponent of ``other``.  No
+        digit of a sum of two packed keys reaches ``base``, so adding keys
+        never carries and the sum is the packed key of the product
+        monomial.  Each term pair costs one integer addition and one dict
+        update; only the product's terms are unpacked.
+        """
         if isinstance(other, int):
             return self.__rmul__(other)
         self._check(other)
-        out: dict[tuple[int, ...], int] = {}
+        nvars = self.nvars
+        base = 1 + max((max(e, default=0) for e in self._terms), default=0) + max(
+            (max(e, default=0) for e in other._terms), default=0
+        )
+        powers = [base**i for i in range(nvars)]
+        right = [(sum(map(mul, e, powers)), c) for e, c in other._terms.items()]
+        packed: dict[int, int] = {}
+        get = packed.get
         for e1, c1 in self._terms.items():
-            for e2, c2 in other._terms.items():
-                exps = tuple(a + b for a, b in zip(e1, e2))
-                new = out.get(exps, 0) + c1 * c2
-                if new:
-                    out[exps] = new
-                else:
-                    out.pop(exps, None)
-        return IntPolynomial(self.nvars, out)
+            k1 = sum(map(mul, e1, powers))
+            for k2, c2 in right:
+                key = k1 + k2
+                packed[key] = get(key, 0) + c1 * c2
+        return IntPolynomial._wrap(
+            nvars,
+            {tuple([key // p % base for p in powers]): c for key, c in packed.items() if c},
+        )
 
     def divided_difference(self, i: int) -> "IntPolynomial":
         """``(f - s_i f) / (x_i - x_{i+1})`` for the variable swap ``s_i``.
@@ -137,7 +167,7 @@ class IntPolynomial:
                     out[new_exps] = new
                 else:
                     out.pop(new_exps, None)
-        return IntPolynomial(self.nvars, out)
+        return IntPolynomial._wrap(self.nvars, out)
 
     def _check(self, other: "IntPolynomial") -> None:
         if self.nvars != other.nvars:

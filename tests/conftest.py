@@ -5,6 +5,7 @@ from itertools import combinations
 
 import pytest
 
+from lrflags.filtered import intersection_number
 from lrflags.partitions import partitions_in_box
 from lrflags.problems import SchubertProblem, dimension
 
@@ -67,6 +68,21 @@ def random_valid_problem(rng: random.Random, n: int) -> SchubertProblem:
             attempts += 1
         if total == target:
             return SchubertProblem(n, tuple(sorted(terms, key=lambda t: t[0])))
+
+
+def nonzero_sample(n: int, seed: int, count: int = 8) -> list[SchubertProblem]:
+    """The first ``count`` random valid problems at ``n`` whose rule answer
+    is at least 2, so that agreement on them is informative; at most 400
+    draws."""
+    rng = random.Random(seed)
+    found = []
+    for _ in range(400):
+        problem = random_valid_problem(rng, n)
+        if intersection_number(problem) >= 2:
+            found.append(problem)
+            if len(found) == count:
+                return found
+    raise AssertionError(f"only {len(found)} of {count} problems at n={n} have answer >= 2")
 
 
 def all_contents(n: int, total: int, max_cut: int) -> list[tuple[tuple[int, tuple[int, ...]], ...]]:

@@ -282,6 +282,27 @@ def test_descent_support_check_sampled_n5():
             assert descent_support_check(problem, t), (problem, t)
 
 
+def test_top_product_prunes_only_what_the_extraction_never_reads():
+    from conftest import all_valid_problems, nonzero_sample
+
+    from lrflags.oracle import _class_product, _top_product
+    from lrflags.permutations import longest_with_descents_in
+
+    problems = [p for n in range(2, 6) for p in all_valid_problems(n)]
+    problems += nonzero_sample(7, 77) + nonzero_sample(8, 78)
+    pruned_somewhere = False
+    for problem in problems:
+        n = problem.n
+        words = [grassmannian_permutation(a, lam, n) for a, lam in problem.terms]
+        words.append(dual(longest_with_descents_in(problem.alpha, n)))
+        top, full = _top_product(words, n), _class_product(words, n)
+        assert staircase_coefficient(top, n) == staircase_coefficient(full, n), problem
+        for exps in top.terms():
+            assert all(e <= d for e, d in zip(sorted(exps, reverse=True), range(n - 1, -1, -1)))
+        pruned_somewhere |= len(top.terms()) < len(full.terms())
+    assert pruned_somewhere
+
+
 def test_restrict_shape_values():
     assert restrict_shape((), 3, 6) == ()
     assert restrict_shape((5, 3, 2), 3, 6) == (3, 2, 2)

@@ -1,3 +1,5 @@
+import random
+
 import pytest
 
 from lrflags.polynomials import IntPolynomial
@@ -19,6 +21,15 @@ def test_arity_checked():
         IntPolynomial(2, {(1, 0, 0): 1})
     with pytest.raises(ValueError):
         x(1, 2) + x(1, 3)
+
+
+def test_negative_exponent_rejected():
+    with pytest.raises(ValueError, match=r"\(2, -1\)"):
+        IntPolynomial(2, {(0, 1): 3, (2, -1): 1})
+    with pytest.raises(ValueError, match=r"\(-3,\)"):
+        IntPolynomial.monomial((-3,))
+    # a zero coefficient is dropped before its exponents are looked at
+    assert IntPolynomial(2, {(2, -1): 0}).is_zero
 
 
 def test_ring_operations():
@@ -70,3 +81,59 @@ def test_divided_difference_leibniz_like_identity():
 def test_divided_difference_index_bounds():
     with pytest.raises(ValueError):
         x(1, 2).divided_difference(2)
+
+
+def naive_product(p, q):
+    """Reference product: add exponent tuples pair by pair."""
+    out = {}
+    for e1, c1 in p.terms().items():
+        for e2, c2 in q.terms().items():
+            exps = tuple(a + b for a, b in zip(e1, e2))
+            out[exps] = out.get(exps, 0) + c1 * c2
+    return {e: c for e, c in out.items() if c}
+
+
+def random_polynomial(rng, nvars, max_exp):
+    coeffs = (1, -1, 2, -7, 2**64 + 3, -(2**70))
+    terms = {}
+    for _ in range(rng.randint(0, 8)):
+        exps = tuple(rng.randint(0, max_exp) for _ in range(nvars))
+        terms[exps] = terms.get(exps, 0) + rng.choice(coeffs)
+    return IntPolynomial(nvars, terms)
+
+
+def test_packed_product_matches_naive_reference():
+    rng = random.Random(2024)
+    for nvars in range(7):
+        for max_exp in (0, 1, 3, 12):
+            for _ in range(40):
+                p = random_polynomial(rng, nvars, max_exp)
+                q = random_polynomial(rng, nvars, max_exp)
+                assert (p * q).terms() == naive_product(p, q), (p, q)
+    # the constant polynomials of zero variables
+    one = IntPolynomial.one(0)
+    assert (one * one).terms() == {(): 1}
+    assert (IntPolynomial(0, {(): 2**65}) * IntPolynomial(0, {(): -3})).terms() == {(): -3 * 2**65}
+    assert (one * IntPolynomial.zero(0)).is_zero
+
+
+def test_packed_product_edge_cases():
+    a, b = x(1, 3), x(2, 3)
+    # the cross terms cancel and are not stored
+    assert ((a - b) * (a + b)).terms() == {(2, 0, 0): 1, (0, 2, 0): -1}
+    p = IntPolynomial(2, {(1, 0): 2**64, (0, 1): 1})
+    q = IntPolynomial(2, {(1, 0): 2**64, (0, 1): -1})
+    assert (p * q).terms() == {(2, 0): 2**128, (0, 2): -1}
+    # the zero polynomial on either side
+    zero = IntPolynomial.zero(3)
+    assert (zero * (a - b)).is_zero and ((a - b) * zero).is_zero
+    assert (zero * zero).is_zero
+    # exponent sums past any single-digit base: 12 + 12 in one variable
+    big = IntPolynomial.monomial((12, 0, 12), -5)
+    assert (big * big).terms() == {(24, 0, 24): 25}
+    assert (big * IntPolynomial.monomial((0, 12, 1))).terms() == {(12, 12, 13): -5}
+    # scalar products on either side
+    assert (3 * (a - b)).terms() == {(1, 0, 0): 3, (0, 1, 0): -3}
+    assert ((a - b) * 3) == 3 * (a - b)
+    assert ((a - b) * -(2**70)).terms() == {(1, 0, 0): -(2**70), (0, 1, 0): 2**70}
+    assert (0 * (a - b)).is_zero and ((a - b) * 0).is_zero

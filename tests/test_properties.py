@@ -2,7 +2,7 @@
 
 import random
 
-from conftest import all_valid_problems, random_valid_problem
+from conftest import all_valid_problems, nonzero_sample, random_valid_problem
 
 from lrflags.partitions import Staircase
 from lrflags.permutations import all_valley_permutations, identity, length
@@ -90,19 +90,9 @@ def test_box_specialization_chains_equal_rule():
 def test_rule_matches_oracle_on_nonzero_n7_sample():
     # beyond the acceptance sweep: taller ambients, biased to problems
     # whose answer is at least 2 so the agreement is informative
-    for n, seed in ((7, 77), (8, 78)):
-        rng = random.Random(seed)
-        found = 0
-        tried = 0
-        while found < 8 and tried < 400:
-            problem = random_valid_problem(rng, n)
-            tried += 1
-            rule = intersection_number(problem)
-            if rule < 2:
-                continue
-            assert oracle_intersection_number(problem) == rule, problem
-            found += 1
-        assert found == 8, n
+    for n, seed in ((7, 77), (8, 78), (9, 79)):
+        for problem in nonzero_sample(n, seed):
+            assert oracle_intersection_number(problem) == intersection_number(problem), problem
 
 
 def test_valley_matches_oracle_even_below_floor():
