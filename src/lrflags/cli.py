@@ -156,13 +156,15 @@ def _parse_alpha_flag(text: str) -> tuple[int, ...]:
 
 def _parse_permutation_arg(text: str, n: int) -> tuple[int, ...]:
     if "," in text:
-        values = tuple(int(p) for p in text.split(","))
-    elif text.isdigit():
-        if n > 9:
-            raise ProblemError("one-line digit notation only works for n <= 9; use commas")
-        values = tuple(int(ch) for ch in text)
+        pieces = text.split(",")
+    elif text.isdigit() and n > 9:
+        raise ProblemError("one-line digit notation only works for n <= 9; use commas")
     else:
-        raise ProblemError(f"cannot parse permutation {text!r}")
+        pieces = list(text)  # one-line notation: one digit per entry
+    try:
+        values = tuple(int(p) for p in pieces)
+    except ValueError:
+        raise ProblemError(f"cannot parse permutation {text!r}") from None
     if sorted(values) != list(range(1, n + 1)):
         raise ProblemError(f"{text!r} is not a permutation of 1..{n}")
     return values

@@ -20,10 +20,11 @@ of the Schubert class of ``w``.
 Shapes travel through this module as embedded diagrams (see
 :mod:`lrflags.partitions`): ordinary partitions recording, per region
 row, the grid column of the last cell.  Counting and enumeration share
-one walk of the shape graph (``_shape_graph``): counting folds it into a
-dynamic program, enumeration trims it to the edges that reach the target
-and lists chains in lexicographic order on those diagrams, fillings in
-row-major lexicographic order per step, so output order is deterministic.
+one walk of the shape graph (``_shape_graph``), each edge carrying what
+its consumer's Littlewood-Richardson call returned: counting folds the
+multiplicities into a dynamic program, enumeration trims the filling lists
+to the edges that reach the target and lists chains in lexicographic order
+on those diagrams, fillings in row-major lexicographic order per step.
 """
 
 from __future__ import annotations
@@ -31,7 +32,7 @@ from __future__ import annotations
 from bisect import bisect_left
 from dataclasses import dataclass
 from itertools import product as iter_product
-from typing import Iterator, Sequence
+from typing import Callable, Iterator, Sequence, TypeVar
 
 from .partitions import Shape, Staircase
 from .permutations import ValleyPermutation, check_permutation
@@ -48,6 +49,8 @@ __all__ = [
     "monk_shape",
 ]
 
+T = TypeVar("T")
+
 
 def _pad(emb: tuple[int, ...], rows: int) -> tuple[int, ...]:
     return emb + (0,) * (rows - len(emb))
@@ -57,19 +60,16 @@ def _boxes(emb: int, offset: int) -> int:
     return max(0, emb - offset) if emb else 0
 
 
-def _step_skew(outer: tuple[int, ...], inner: tuple[int, ...], staircase: Staircase) -> SkewShape:
-    """The region cells of ``outer`` not in ``inner``, as an ordinary skew shape.
+def _step_inner(outer: tuple[int, ...], inner: tuple[int, ...], staircase: Staircase) -> tuple[int, ...]:
+    """The inner boundary of the step ``outer / inner`` as an ordinary skew shape.
 
     Rows the inner shape leaves empty still start after their offset, so
-    the inner boundary of the skew is ``max(inner, offset)`` per row; for
-    legal steps this clipped boundary is itself a partition.
+    the boundary is ``max(inner, offset)`` per row, clipped to ``outer``;
+    for legal steps it is itself a partition.
     """
     padded = _pad(inner, len(outer))
     off = staircase.offsets
-    clipped = tuple(
-        min(outer[i], max(padded[i], off[i])) for i in range(len(outer))
-    )
-    return SkewShape(outer, clipped)
+    return tuple(min(outer[i], max(padded[i], off[i])) for i in range(len(outer)))
 
 
 def _step_shapes(
@@ -148,21 +148,17 @@ def _steps_can_host_rest(
 
     A cell in row ``i``, grid column ``c`` is available to a step at cut
     ``a`` iff ``i <= a`` and ``a <= c + min(alpha) - 1``; per row only the
-    leftmost missing cell matters because its window is tightest.
+    leftmost missing cell matters because its window is tightest.  ``rest``,
+    the later steps' cuts, must be ascending, as a problem's terms are.
     """
-    if not rest:
-        return sum(_boxes(e, staircase.offsets[i]) for i, e in enumerate(outer)) == sum(
-            _boxes(e, staircase.offsets[i]) for i, e in enumerate(target)
-        )
     alpha0 = staircase.alpha[0]
-    cuts = sorted(rest)
     padded = _pad(outer, len(target))
     for i, tau_i in enumerate(target):
         if padded[i] >= tau_i:
             continue
         c = max(padded[i], staircase.offsets[i]) + 1
-        lo = bisect_left(cuts, i + 1)
-        if lo == len(cuts) or cuts[lo] > c + alpha0 - 1:
+        lo = bisect_left(rest, i + 1)
+        if lo == len(rest) or rest[lo] > c + alpha0 - 1:
             return False
     return True
 
@@ -204,7 +200,7 @@ class FilteredTableau:
                     if max(e_in, off[r0]) < a - alpha0:
                         raise ValueError(f"step {i + 1} crosses the rectangle's left edge")
             filling = self.fillings[i]
-            if filling.shape != _step_skew(outer, inner, self.staircase):
+            if filling.shape != SkewShape(outer, _step_inner(outer, inner, self.staircase)):
                 raise ValueError(f"filling {i + 1} is not on the step's skew shape")
             if not is_lr_tableau(filling, lam):
                 raise ValueError(f"filling {i + 1} is not an LR tableau of content {lam}")
@@ -214,27 +210,28 @@ def _shape_graph(
     terms: Sequence[tuple[int, tuple[int, ...]]],
     staircase: Staircase,
     target: tuple[int, ...],
-) -> Iterator[dict[tuple[int, ...], list[tuple[tuple[int, ...], int]]]]:
+    lr: Callable[[tuple[int, ...], tuple[int, ...], tuple[int, ...]], T],
+) -> Iterator[dict[tuple[int, ...], list[tuple[tuple[int, ...], T]]]]:
     """The shape graph, one step at a time.
 
     For each term, yields every inner shape reachable from the empty
-    shape, mapped to its successors in ascending lexicographic order,
-    each with its Littlewood-Richardson multiplicity.  Successors that
-    cannot host the remaining steps, or carry no filling, are left out.
+    shape, mapped to its successors in ascending lexicographic order, each
+    with ``lr(outer, inner, lam)`` for its skew step, one call per edge.
+    Successors that cannot host the remaining steps, or whose ``lr``
+    result is falsy (no filling), are left out.
     """
     rest_cuts = [a for a, _ in terms]
     level = [()]
     for i, (a, lam) in enumerate(terms):
-        edges: dict[tuple[int, ...], list[tuple[tuple[int, ...], int]]] = {}
+        edges: dict[tuple[int, ...], list[tuple[tuple[int, ...], T]]] = {}
         for inner in level:
             succ = edges[inner] = []
             for outer in _step_shapes(inner, a, sum(lam), staircase, target):
                 if not _steps_can_host_rest(outer, target, staircase, rest_cuts[i + 1 :]):
                     continue
-                skew = _step_skew(outer, inner, staircase)
-                mult = count_lr_tableaux(skew.outer, skew.inner, lam)
-                if mult:
-                    succ.append((outer, mult))
+                found = lr(outer, _step_inner(outer, inner, staircase), lam)
+                if found:
+                    succ.append((outer, found))
         yield edges
         level = dict.fromkeys(outer for succ in edges.values() for outer, _ in succ)
 
@@ -249,39 +246,38 @@ def enumerate_filtered_tableaux(
     is yielded.  Output order: lexicographic on the chain of embedded
     diagrams, then lexicographic per-step fillings.
 
-    The shape graph of :func:`count_filtered_tableaux` is trimmed back to
-    the edges that reach the target, then walked depth first on an
-    explicit stack; each distinct step lists its fillings once.
+    The shape graph of :func:`count_filtered_tableaux`, each edge carrying
+    its Littlewood-Richardson fillings, listed once, is trimmed back to the
+    edges that reach the target, then walked depth first on an explicit stack.
     """
     if target is None:
         target = Shape.full(problem.staircase)
     staircase = target.staircase
     if target.size != problem.total_size:
         return
-    steps = list(_shape_graph(problem.terms, staircase, target.embedded))
+
+    def fillings(outer, inner, lam):
+        return enumerate_lr_tableaux(SkewShape(outer, inner), lam)
+
+    steps = list(_shape_graph(problem.terms, staircase, target.embedded, fillings))
     live = {target.embedded}
     for k in range(len(steps) - 1, -1, -1):
         steps[k] = {
-            inner: [outer for outer, _ in succ if outer in live]
+            inner: [(outer, found) for outer, found in succ if outer in live]
             for inner, succ in steps[k].items()
         }
         live = {inner for inner, succ in steps[k].items() if succ}
-    fillings: dict[tuple, list[SkewTableau]] = {}
-    stack = [((),)]
+    stack = [(((),), ())]  # (chain of shapes, filling lists of its steps)
     while stack:
-        chain = stack.pop()
-        level = len(chain) - 1
+        chain, per_step = stack.pop()
+        level = len(per_step)
         if level < len(steps):
             # successors pushed largest first, so chains pop in lex order
-            stack.extend(chain + (outer,) for outer in reversed(steps[level][chain[-1]]))
+            stack.extend(
+                (chain + (outer,), per_step + (found,))
+                for outer, found in reversed(steps[level][chain[-1]])
+            )
             continue
-        per_step = []
-        for i, (_, lam) in enumerate(problem.terms):
-            key = (chain[i], chain[i + 1], lam)
-            if key not in fillings:
-                skew = _step_skew(chain[i + 1], chain[i], staircase)
-                fillings[key] = enumerate_lr_tableaux(skew, lam)
-            per_step.append(fillings[key])
         for combo in iter_product(*per_step):
             yield FilteredTableau(staircase, problem.terms, chain, combo)
 
@@ -290,15 +286,15 @@ def count_filtered_tableaux(problem: SchubertProblem, target: Shape | None = Non
     """Number of filtered tableaux, by dynamic programming over shapes.
 
     Folds the same shape graph that :func:`enumerate_filtered_tableaux`
-    walks, weighting each edge by its cached Littlewood-Richardson
-    multiplicity instead of listing fillings.
+    walks, with each edge carrying its cached Littlewood-Richardson
+    multiplicity from :func:`count_lr_tableaux` instead of its fillings.
     """
     if target is None:
         target = Shape.full(problem.staircase)
     if target.size != problem.total_size:
         return 0
     ways: dict[tuple[int, ...], int] = {(): 1}
-    for edges in _shape_graph(problem.terms, target.staircase, target.embedded):
+    for edges in _shape_graph(problem.terms, target.staircase, target.embedded, count_lr_tableaux):
         nxt: dict[tuple[int, ...], int] = {}
         for inner, succ in edges.items():
             for outer, mult in succ:

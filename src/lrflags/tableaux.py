@@ -243,10 +243,11 @@ def count_lr_tableaux(
         return _count_cache[outer, inner, lam]
     except (KeyError, TypeError):  # a miss, or unhashable lists
         pass
-    outer, inner, lam = (normalize_partition(p) for p in (outer, inner, lam))
-    key = (outer, inner, lam)
+    shape = SkewShape(outer, inner)
+    lam = normalize_partition(lam)
+    key = (shape.outer, shape.inner, lam)
     if key not in _count_cache:
         if len(_count_cache) >= _COUNT_CACHE_CAP:
             _count_cache.clear()
-        _count_cache[key] = len(enumerate_lr_tableaux(SkewShape(outer, inner), lam))
+        _count_cache[key] = len(enumerate_lr_tableaux(shape, lam))
     return _count_cache[key]

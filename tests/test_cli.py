@@ -318,6 +318,9 @@ def test_comma_separated_permutation_parsing():
         _parse_permutation_arg("4321", 10)
     with pytest.raises(ProblemError):
         _parse_permutation_arg("4322", 4)
+    for text in ("1,2,3,4,x", "1,,2,3"):
+        with pytest.raises(ProblemError, match="cannot parse permutation"):
+            _parse_permutation_arg(text, 4)
 
 
 def test_cli_as_subprocess(tmp_path):

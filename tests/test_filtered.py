@@ -49,6 +49,29 @@ def test_enumeration_is_lazy(six_box_problem):
     assert next(tableaux).chain[0] == ()
 
 
+def test_enumerate_lists_each_edge_once(monkeypatch, six_box_problem, seven_term_problem):
+    # on a cold count cache, each step's fillings are listed once, not once
+    # for the multiplicity and again for the output
+    import lrflags.filtered
+    import lrflags.tableaux
+
+    original = lrflags.tableaux.enumerate_lr_tableaux
+    for problem in (six_box_problem, seven_term_problem):
+        expected = list(enumerate_filtered_tableaux(problem))
+        listed = Counter()
+
+        def recorder(shape, lam):
+            listed[shape, tuple(lam)] += 1
+            return original(shape, lam)
+
+        with monkeypatch.context() as patch:
+            patch.setattr(lrflags.tableaux, "_count_cache", {})
+            patch.setattr(lrflags.tableaux, "enumerate_lr_tableaux", recorder)
+            patch.setattr(lrflags.filtered, "enumerate_lr_tableaux", recorder)
+            assert list(enumerate_filtered_tableaux(problem)) == expected
+        assert listed and max(listed.values()) == 1, listed.most_common(3)
+
+
 def test_count_matches_enumeration(six_box_problem, seven_term_problem, five_factor_problem):
     for problem in (six_box_problem, seven_term_problem, five_factor_problem):
         assert count_filtered_tableaux(problem) == len(list(enumerate_filtered_tableaux(problem)))

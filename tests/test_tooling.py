@@ -20,3 +20,23 @@ def test_trace_patches_resolve():
             assert hasattr(owner, part), (module_name, attr)
             owner = getattr(owner, part)
         assert callable(owner), (module_name, attr)
+
+
+def test_rule_looks_up_lr_layer_at_call_time(monkeypatch, six_box_problem):
+    # the tracer patches these names on lrflags.filtered; a callable bound at
+    # import time (say, a default argument) would bypass the patch and read 0
+    import lrflags.filtered as filtered
+
+    calls = {"count_lr_tableaux": 0, "enumerate_lr_tableaux": 0}
+    for name in calls:
+        original = getattr(filtered, name)
+
+        def counting(*args, _name=name, _original=original):
+            calls[_name] += 1
+            return _original(*args)
+
+        monkeypatch.setattr(filtered, name, counting)
+    assert filtered.count_filtered_tableaux(six_box_problem) == 2
+    assert calls["count_lr_tableaux"] > 0
+    assert len(list(filtered.enumerate_filtered_tableaux(six_box_problem))) == 2
+    assert calls["enumerate_lr_tableaux"] > 0
