@@ -224,10 +224,11 @@ def _shape_graph(
     level = [()]
     for i, (a, lam) in enumerate(terms):
         edges: dict[tuple[int, ...], list[tuple[tuple[int, ...], T]]] = {}
+        rest = rest_cuts[i + 1 :]
         for inner in level:
             succ = edges[inner] = []
             for outer in _step_shapes(inner, a, sum(lam), staircase, target):
-                if not _steps_can_host_rest(outer, target, staircase, rest_cuts[i + 1 :]):
+                if not _steps_can_host_rest(outer, target, staircase, rest):
                     continue
                 found = lr(outer, _step_inner(outer, inner, staircase), lam)
                 if found:

@@ -18,7 +18,9 @@ row-major order with ascending entries, so the list comes out sorted
 lexicographically by row-major entry sequence, the package's canonical
 order.  Rows weakly increase, so the ballot condition reduces to a
 constant-time check per placed cell: no more ``v`` placed than ``v-1``
-in the rows above.  Each finished filling still passes :func:`is_lr_tableau`.
+in the rows above.  :func:`count_lr_tableaux` counts the backtracker's
+leaves and builds no tableau; each filling that
+:func:`enumerate_lr_tableaux` lists still passes :func:`is_lr_tableau`.
 """
 
 from __future__ import annotations
@@ -39,6 +41,14 @@ __all__ = [
 ]
 
 
+def _nested(outer: Iterable[int], inner: Iterable[int]) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """``outer`` and ``inner`` normalized; raises unless ``inner`` fits inside."""
+    outer, inner = normalize_partition(outer), normalize_partition(inner)
+    if not contains(outer, inner):
+        raise ValueError(f"inner {inner} is not contained in outer {outer}")
+    return outer, inner
+
+
 @dataclass(frozen=True)
 class SkewShape:
     """The cells of ``outer`` not in ``inner``, for nested partitions."""
@@ -47,10 +57,7 @@ class SkewShape:
     inner: tuple[int, ...]
 
     def __post_init__(self) -> None:
-        outer = normalize_partition(self.outer)
-        inner = normalize_partition(self.inner)
-        if not contains(outer, inner):
-            raise ValueError(f"inner {inner} is not contained in outer {outer}")
+        outer, inner = _nested(self.outer, self.inner)
         object.__setattr__(self, "outer", outer)
         object.__setattr__(self, "inner", inner)
 
@@ -170,39 +177,38 @@ def is_lr_tableau(tableau: SkewTableau, lam: Iterable[int]) -> bool:
     return is_ballot(tableau.reading_word())
 
 
-def enumerate_lr_tableaux(shape: SkewShape, lam: Iterable[int]) -> list[SkewTableau]:
-    """All Littlewood-Richardson fillings of ``shape`` with content ``lam``.
+def _lr_fillings(
+    outer: tuple[int, ...], inner: tuple[int, ...], lam: tuple[int, ...]
+) -> Iterator[list[int]]:
+    """Every Littlewood-Richardson filling of ``outer/inner`` with content ``lam``.
 
-    The list is in row-major lexicographic order on entry sequences and
-    its length is the coefficient ``c^{shape}_{lam}``.  A size mismatch
-    yields the empty list; the empty shape with empty content yields the
-    single empty filling.
+    The three partitions must be normalized, with ``inner`` inside
+    ``outer`` and ``|outer| - |inner| == |lam|``.  At each filling it
+    yields the same list of entries in row-major order (one slot past the
+    last cell, always 0); the next step overwrites it.  Fillings come in
+    row-major lexicographic order.
     """
-    lam = normalize_partition(lam)
-    if shape.size != sum(lam):
-        return []
-    cells = list(shape.cells())
-    n, m = len(cells), len(lam)
-    # each cell's left and upper neighbour in the skew shape; index n, a
-    # sentinel holding 0, stands for a missing one
-    where = {cell: k for k, cell in enumerate(cells)}
-    left = [where.get((r, c - 1), n) for r, c in cells]
-    up = [where.get((r - 1, c), n) for r, c in cells]
-    widths = (shape.outer[r - 1] - shape.inner_row(r) for r in range(1, len(shape.outer) + 1))
-    ends = list(accumulate(widths, initial=0))
+    n, m = sum(lam), len(lam)
+    # each cell's left and upper neighbour in the skew shape, from the row
+    # spans; index n, a sentinel holding 0, stands for a missing one
+    left: list[int] = []
+    up: list[int] = []
+    above_first = above_last = above_start = 0  # the previous row's span
+    for r, last in enumerate(outer):
+        first, start = inner[r] if r < len(inner) else 0, len(left)
+        for c in range(first, last):
+            left.append(start + c - first - 1 if c > first else n)
+            up.append(above_start + c - above_first if above_first <= c < above_last else n)
+        above_first, above_last, above_start = first, last, start
 
     val = [0] * (n + 1)  # entry per cell, 0 while unplaced
     run = [0] * (n + 1)  # entries equal to the cell's in its row, up to it
     below = [0] * n  # entries one less than the cell's, left of it in its row
     counts = [n + 1] + [0] * m  # counts[v]: entries v placed; counts[0] never binds
-    results: list[SkewTableau] = []
     k = 0
     while k >= 0:
         if k == n:
-            candidate = SkewTableau(shape, tuple(tuple(val[a:b]) for a, b in zip(ends, ends[1:])))
-            # final acceptance goes through the public predicate
-            if is_lr_tableau(candidate, lam):
-                results.append(candidate)
+            yield val
             k -= 1
             continue
         v, west = val[k], left[k]
@@ -227,6 +233,27 @@ def enumerate_lr_tableaux(shape: SkewShape, lam: Iterable[int]) -> list[SkewTabl
         run[k] = run[west] + 1 if val[west] == v else 1
         below[k] = in_row
         k += 1
+
+
+def enumerate_lr_tableaux(shape: SkewShape, lam: Iterable[int]) -> list[SkewTableau]:
+    """All Littlewood-Richardson fillings of ``shape`` with content ``lam``.
+
+    The list is in row-major lexicographic order on entry sequences and
+    its length is the coefficient ``c^{shape}_{lam}``.  A size mismatch
+    yields the empty list; the empty shape with empty content yields the
+    single empty filling.
+    """
+    lam = normalize_partition(lam)
+    if shape.size != sum(lam):
+        return []
+    widths = (shape.outer[r - 1] - shape.inner_row(r) for r in range(1, len(shape.outer) + 1))
+    ends = list(accumulate(widths, initial=0))
+    results: list[SkewTableau] = []
+    for val in _lr_fillings(shape.outer, shape.inner, lam):
+        candidate = SkewTableau(shape, tuple(tuple(val[a:b]) for a, b in zip(ends, ends[1:])))
+        # final acceptance goes through the public predicate
+        if is_lr_tableau(candidate, lam):
+            results.append(candidate)
     return results
 
 
@@ -237,17 +264,27 @@ _count_cache: dict[tuple[tuple[int, ...], tuple[int, ...], tuple[int, ...]], int
 def count_lr_tableaux(
     outer: tuple[int, ...], inner: tuple[int, ...], lam: tuple[int, ...]
 ) -> int:
-    """The Littlewood-Richardson coefficient ``c^{outer/inner}_{lam}``, cached."""
+    """The Littlewood-Richardson coefficient ``c^{outer/inner}_{lam}``, cached.
+
+    It is the number of leaves of the backtracker that
+    :func:`enumerate_lr_tableaux` lists, counted without building a
+    tableau.  Each argument is normalized once per miss; ``inner`` not
+    inside ``outer`` raises ``ValueError``.
+    """
     try:
         # only normalized keys are stored, so a hit needs no normalizing
         return _count_cache[outer, inner, lam]
     except (KeyError, TypeError):  # a miss, or unhashable lists
         pass
-    shape = SkewShape(outer, inner)
+    outer, inner = _nested(outer, inner)
     lam = normalize_partition(lam)
-    key = (shape.outer, shape.inner, lam)
+    key = (outer, inner, lam)
     if key not in _count_cache:
         if len(_count_cache) >= _COUNT_CACHE_CAP:
             _count_cache.clear()
-        _count_cache[key] = len(enumerate_lr_tableaux(shape, lam))
+        leaves = 0
+        if sum(outer) - sum(inner) == sum(lam):
+            for _ in _lr_fillings(outer, inner, lam):
+                leaves += 1
+        _count_cache[key] = leaves
     return _count_cache[key]

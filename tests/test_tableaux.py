@@ -3,7 +3,7 @@ from itertools import product
 import pytest
 
 from lrflags import tableaux
-from lrflags.partitions import normalize_partition, partitions_in_box
+from lrflags.partitions import contains, normalize_partition, partitions_in_box
 from lrflags.tableaux import (
     SkewShape,
     SkewTableau,
@@ -179,6 +179,81 @@ def test_count_cache_stays_bounded(monkeypatch):
     with pytest.raises(ValueError):
         count_lr_tableaux((1, 2), (), (3,))
     assert all(key == tuple(map(normalize_partition, key)) for key in tableaux._count_cache)
+
+
+# (outer, inner, content): steps shaped like the rule's, with middle rows
+# empty (wholly inside inner), rows inside inner at the top, disconnected
+# components and an inner with a trailing zero; then a size mismatch, the
+# empty shape, an outer wholly inside inner, list arguments, trailing zeros
+PARITY_CASES = [
+    ((5, 5, 4, 4), (4, 4, 4, 3), (1, 1, 1)),
+    ((5, 4, 3), (4, 4, 1), (2, 1)),
+    ((5, 3, 3, 1), (3, 3, 1), (2, 2, 1)),
+    ((5, 4, 3), (4, 3, 2), (2, 1)),
+    ((5, 5, 5, 4), (5, 4, 4, 3), (1, 1, 1)),
+    ((4, 4, 2, 2), (4, 2, 1), (2, 2, 1)),
+    ((4, 2), (2,), (2, 2)),
+    ((4, 2), (2,), (3, 1)),
+    ((4, 3, 2, 1), (3, 2, 1), (3, 1)),
+    ((3, 1), (2, 0), (2,)),
+    ((3, 2), (1,), (2, 1)),
+    ((), (), ()),
+    ((2, 2), (2, 2), ()),
+    ([3, 2, 1], [2, 1], [2, 1]),
+    ((3, 2, 1, 0), (2, 1, 0, 0), (2, 1, 0)),
+]
+
+
+def test_count_equals_listing_equals_brute_force(monkeypatch):
+    monkeypatch.setattr(tableaux, "_count_cache", {})
+    nonzero = 0
+    for outer, inner, lam in PARITY_CASES:
+        shape = SkewShape(outer, inner)
+        listed = enumerate_lr_tableaux(shape, lam)
+        expected = len(brute_force_lr(shape, lam))
+        assert count_lr_tableaux(outer, inner, lam) == len(listed) == expected, (outer, inner, lam)
+        nonzero += expected > 0
+    assert count_lr_tableaux((3, 2), (1,), (2, 1)) == 0
+    assert count_lr_tableaux((), (), ()) == 1
+    assert nonzero == len(PARITY_CASES) - 1
+
+
+def test_count_equals_listing_up_to_seven_boxes(monkeypatch):
+    monkeypatch.setattr(tableaux, "_count_cache", {})
+    parts = [p for p in partitions_in_box(7, 7) if sum(p) <= 7]
+    checked = 0
+    for outer in parts:
+        for inner in parts:
+            if not contains(outer, inner):
+                continue
+            shape = SkewShape(outer, inner)
+            for lam in parts:
+                listed = len(enumerate_lr_tableaux(shape, lam))
+                assert count_lr_tableaux(outer, inner, lam) == listed, (outer, inner, lam)
+                checked += listed > 0
+    assert checked > 600
+
+
+def test_counting_builds_no_tableaux(monkeypatch):
+    calls = {"SkewTableau": 0, "is_lr_tableau": 0, "normalize_partition": 0}
+    for name in calls:
+        original = getattr(tableaux, name)
+
+        def counting(*args, _name=name, _original=original):
+            calls[_name] += 1
+            return _original(*args)
+
+        monkeypatch.setattr(tableaux, name, counting)
+    monkeypatch.setattr(tableaux, "_count_cache", {})
+    triples = [(o, i, l) for o, i, l in PARITY_CASES if isinstance(o, tuple)]
+    triples += [((4, 3, 2, 1), (3, 2, 1), lam) for lam in ((4,), (2, 2), (2, 1, 1), (1, 1, 1, 1))]
+    misses = len({tuple(map(normalize_partition, t)) for t in triples})
+    assert sum(count_lr_tableaux(*t) for t in triples) > misses
+    assert calls["SkewTableau"] == calls["is_lr_tableau"] == 0
+    assert calls["normalize_partition"] <= 3 * misses
+    # listing still checks every filling it returns
+    listed = enumerate_lr_tableaux(SkewShape((4, 3, 2, 1), (3, 2, 1)), (3, 1))
+    assert calls["is_lr_tableau"] == len(listed) > 1
 
 
 def test_lr_symmetric_sum_in_box():
