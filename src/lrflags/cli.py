@@ -21,6 +21,7 @@ invalid input.  Results go to stdout, diagnostics to stderr.
 from __future__ import annotations
 
 import argparse
+import functools
 import re
 import sys
 from dataclasses import dataclass
@@ -120,20 +121,27 @@ def parse_problem(text: str) -> ProblemDocument:
     return ProblemDocument(n, tuple(terms), alpha)
 
 
+def _step_block(i: int, a: int, filling) -> list[str]:
+    """The ``step i a=...`` line of one step, then its skew diagram."""
+    skew = filling.shape
+    lines = [f"step {i} a={a}"]
+    for r in range(1, len(skew.outer) + 1):
+        entries = "".join(str(v) for v in filling.rows[r - 1])
+        lines.append("." * skew.inner_row(r) + entries)
+    return lines
+
+
 def render_filtered_tableau(ft, index: int) -> list[str]:
     """The canonical text block for one filtered tableau.
 
     Each step prints its skew diagram with ``.`` for cells already filled
     (or left of the row's span) and the digit entries of the new cells.
+    This is the reference for the ``enumerate`` output, which builds the
+    same step blocks but renders each filling once.
     """
     lines = [f"tableau {index}"]
     for i, (a, _) in enumerate(ft.terms):
-        lines.append(f"step {i + 1} a={a}")
-        filling = ft.fillings[i]
-        skew = filling.shape
-        for r in range(1, len(skew.outer) + 1):
-            entries = "".join(str(v) for v in filling.rows[r - 1])
-            lines.append("." * skew.inner_row(r) + entries)
+        lines += _step_block(i + 1, a, ft.fillings[i])
     return lines
 
 
@@ -183,15 +191,32 @@ def _cmd_count(doc: ProblemDocument, args) -> int:
 
 
 def _cmd_enumerate(doc: ProblemDocument, args) -> int:
+    """Stream every filtered tableau as :func:`render_filtered_tableau`
+    renders it, then ``count <N>``.
+
+    Tableaux through one shape-graph edge share that edge's filling
+    objects, so each step block is rendered once per filling and kept for
+    the call, per step, keyed by the filling's ``id``.  The kept value
+    holds the filling too, so its ``id`` cannot be reused meanwhile.
+    """
     problem = doc.problem()
     alpha = resolve_alpha(problem, _effective_alpha(doc, args.alpha))
     if alpha == problem.alpha:
         validate_problem(problem)
     tableaux = enumerate_filtered_tableaux(problem, Shape.full(Staircase(alpha, problem.n)))
+    steps = [(i, a, {}) for i, (a, _) in enumerate(problem.terms, 1)]
+    write = sys.stdout.write
     total = 0
     for total, ft in enumerate(tableaux, 1):
-        print("\n".join(render_filtered_tableau(ft, total)), end="\n\n")
-    print(f"count {total}")
+        lines = [f"tableau {total}"]
+        for (i, a, kept), filling in zip(steps, ft.fillings):
+            block = kept.get(id(filling))
+            if block is None:
+                block = kept[id(filling)] = (filling, "\n".join(_step_block(i, a, filling)))
+            lines.append(block[1])
+        lines.append("\n")
+        write("\n".join(lines))
+    write(f"count {total}\n")
     return 0
 
 
@@ -230,7 +255,9 @@ def _cmd_monk(doc: ProblemDocument, args) -> int:
     return 0 if verdict == "OK" else 1
 
 
-def main(argv: list[str] | None = None) -> int:
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The argument parser, built on first use and shared by later calls."""
     parser = argparse.ArgumentParser(
         prog="lrflags",
         description="Intersection numbers of Grassmannian Schubert problems on flag manifolds.",
@@ -250,8 +277,11 @@ def main(argv: list[str] | None = None) -> int:
     p.add_argument("file", help="problem file, or - for stdin")
     p.add_argument("--floor", type=int, help="valley floor; defaults to the largest cut")
     p.set_defaults(fn=_cmd_valley)
+    return parser
 
-    args = parser.parse_args(argv)
+
+def main(argv: list[str] | None = None) -> int:
+    args = _parser().parse_args(argv)
     if args.threads is not None and args.threads < 1:
         print("error: --threads must be at least 1", file=sys.stderr)
         return 2

@@ -20,11 +20,12 @@ of the Schubert class of ``w``.
 Shapes travel through this module as embedded diagrams (see
 :mod:`lrflags.partitions`): ordinary partitions recording, per region
 row, the grid column of the last cell.  Counting and enumeration share
-one walk of the shape graph (``_shape_graph``), each edge carrying what
-its consumer's Littlewood-Richardson call returned: counting folds the
-multiplicities into a dynamic program, enumeration trims the filling lists
-to the edges that reach the target and lists chains in lexicographic order
-on those diagrams, fillings in row-major lexicographic order per step.
+one walk of the shape graph (``_shape_graph``), each edge carrying its
+cached Littlewood-Richardson multiplicity: counting folds the
+multiplicities into a dynamic program; enumeration trims the graph back
+to the edges that reach the target, lists the fillings of those live
+edges only, once each, and lists chains in lexicographic order on those
+diagrams, fillings in row-major lexicographic order per step.
 """
 
 from __future__ import annotations
@@ -32,7 +33,7 @@ from __future__ import annotations
 from bisect import bisect_left
 from dataclasses import dataclass
 from itertools import product as iter_product
-from typing import Callable, Iterator, Sequence, TypeVar
+from typing import Iterator, Sequence
 
 from .partitions import Shape, Staircase
 from .permutations import ValleyPermutation, check_permutation
@@ -49,8 +50,6 @@ __all__ = [
     "monk_shape",
 ]
 
-T = TypeVar("T")
-
 
 def _pad(emb: tuple[int, ...], rows: int) -> tuple[int, ...]:
     return emb + (0,) * (rows - len(emb))
@@ -65,11 +64,15 @@ def _step_inner(outer: tuple[int, ...], inner: tuple[int, ...], staircase: Stair
 
     Rows the inner shape leaves empty still start after their offset, so
     the boundary is ``max(inner, offset)`` per row, clipped to ``outer``;
-    for legal steps it is itself a partition.
+    for legal steps it is itself a partition.  Trailing zeros are dropped,
+    so the result is a normalized key of the count cache.
     """
     padded = _pad(inner, len(outer))
     off = staircase.offsets
-    return tuple(min(outer[i], max(padded[i], off[i])) for i in range(len(outer)))
+    bound = [min(outer[i], max(padded[i], off[i])) for i in range(len(outer))]
+    while bound and bound[-1] == 0:
+        bound.pop()
+    return tuple(bound)
 
 
 def _step_shapes(
@@ -210,29 +213,28 @@ def _shape_graph(
     terms: Sequence[tuple[int, tuple[int, ...]]],
     staircase: Staircase,
     target: tuple[int, ...],
-    lr: Callable[[tuple[int, ...], tuple[int, ...], tuple[int, ...]], T],
-) -> Iterator[dict[tuple[int, ...], list[tuple[tuple[int, ...], T]]]]:
+) -> Iterator[dict[tuple[int, ...], list[tuple[tuple[int, ...], int]]]]:
     """The shape graph, one step at a time.
 
     For each term, yields every inner shape reachable from the empty
     shape, mapped to its successors in ascending lexicographic order, each
-    with ``lr(outer, inner, lam)`` for its skew step, one call per edge.
-    Successors that cannot host the remaining steps, or whose ``lr``
-    result is falsy (no filling), are left out.
+    with the Littlewood-Richardson multiplicity of its skew step, one
+    :func:`count_lr_tableaux` call per edge.  Successors that cannot host
+    the remaining steps, or whose multiplicity is 0, are left out.
     """
     rest_cuts = [a for a, _ in terms]
     level = [()]
     for i, (a, lam) in enumerate(terms):
-        edges: dict[tuple[int, ...], list[tuple[tuple[int, ...], T]]] = {}
+        edges: dict[tuple[int, ...], list[tuple[tuple[int, ...], int]]] = {}
         rest = rest_cuts[i + 1 :]
         for inner in level:
             succ = edges[inner] = []
             for outer in _step_shapes(inner, a, sum(lam), staircase, target):
                 if not _steps_can_host_rest(outer, target, staircase, rest):
                     continue
-                found = lr(outer, _step_inner(outer, inner, staircase), lam)
-                if found:
-                    succ.append((outer, found))
+                mult = count_lr_tableaux(outer, _step_inner(outer, inner, staircase), lam)
+                if mult:
+                    succ.append((outer, mult))
         yield edges
         level = dict.fromkeys(outer for succ in edges.values() for outer, _ in succ)
 
@@ -247,9 +249,12 @@ def enumerate_filtered_tableaux(
     is yielded.  Output order: lexicographic on the chain of embedded
     diagrams, then lexicographic per-step fillings.
 
-    The shape graph of :func:`count_filtered_tableaux`, each edge carrying
-    its Littlewood-Richardson fillings, listed once, is trimmed back to the
-    edges that reach the target, then walked depth first on an explicit stack.
+    Walks the shape graph of :func:`count_filtered_tableaux`, each edge
+    carrying its cached multiplicity, and trims it back to the edges that
+    reach the target.  Only then are the fillings of each live edge
+    listed, once; every tableau through the edge shares that list.  The
+    chains are walked depth first on an explicit stack, so memory is
+    bounded by the graph, not the output.
     """
     if target is None:
         target = Shape.full(problem.staircase)
@@ -258,13 +263,14 @@ def enumerate_filtered_tableaux(
         return
 
     def fillings(outer, inner, lam):
-        return enumerate_lr_tableaux(SkewShape(outer, inner), lam)
+        return enumerate_lr_tableaux(SkewShape(outer, _step_inner(outer, inner, staircase)), lam)
 
-    steps = list(_shape_graph(problem.terms, staircase, target.embedded, fillings))
+    steps = list(_shape_graph(problem.terms, staircase, target.embedded))
     live = {target.embedded}
     for k in range(len(steps) - 1, -1, -1):
+        lam = problem.terms[k][1]
         steps[k] = {
-            inner: [(outer, found) for outer, found in succ if outer in live]
+            inner: [(outer, fillings(outer, inner, lam)) for outer, _ in succ if outer in live]
             for inner, succ in steps[k].items()
         }
         live = {inner for inner, succ in steps[k].items() if succ}
@@ -287,15 +293,15 @@ def count_filtered_tableaux(problem: SchubertProblem, target: Shape | None = Non
     """Number of filtered tableaux, by dynamic programming over shapes.
 
     Folds the same shape graph that :func:`enumerate_filtered_tableaux`
-    walks, with each edge carrying its cached Littlewood-Richardson
-    multiplicity from :func:`count_lr_tableaux` instead of its fillings.
+    walks, each edge carrying its cached Littlewood-Richardson
+    multiplicity from :func:`count_lr_tableaux`.
     """
     if target is None:
         target = Shape.full(problem.staircase)
     if target.size != problem.total_size:
         return 0
     ways: dict[tuple[int, ...], int] = {(): 1}
-    for edges in _shape_graph(problem.terms, target.staircase, target.embedded, count_lr_tableaux):
+    for edges in _shape_graph(problem.terms, target.staircase, target.embedded):
         nxt: dict[tuple[int, ...], int] = {}
         for inner, succ in edges.items():
             for outer, mult in succ:

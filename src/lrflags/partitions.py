@@ -42,12 +42,17 @@ __all__ = [
 def normalize_partition(rows: Iterable[int]) -> tuple[int, ...]:
     """Return ``rows`` as a canonical partition tuple, without trailing zeros.
 
+    A tuple of ints already in that form is returned itself, not copied.
+
     >>> normalize_partition([3, 1, 0, 0])
     (3, 1)
     >>> normalize_partition(())
     ()
     """
-    parts = tuple(int(r) for r in rows)
+    if type(rows) is tuple and all(type(r) is int for r in rows):
+        parts = rows
+    else:
+        parts = tuple(int(r) for r in rows)
     if any(r < 0 for r in parts):
         raise ValueError(f"partition rows must be non-negative: {parts}")
     if any(parts[i] < parts[i + 1] for i in range(len(parts) - 1)):

@@ -1,14 +1,21 @@
+import argparse
+import io
 import os
+import random
 import subprocess
 import sys
+import tracemalloc
+from contextlib import redirect_stdout
 from pathlib import Path
 
 import pytest
 
 import lrflags
+from conftest import random_valid_problem
 from lrflags import cli
-from lrflags.cli import ParseError, parse_problem
-from lrflags.filtered import FilteredTableau
+from lrflags.cli import ParseError, parse_problem, render_filtered_tableau
+from lrflags.filtered import FilteredTableau, enumerate_filtered_tableaux
+from lrflags.partitions import Shape, Staircase
 from lrflags.tableaux import SkewShape, SkewTableau
 
 SIX_BOX = "n = 4\n1: 1\n1: 1\n2: 1\n2: 1\n3: 1\n3: 1\n"
@@ -278,6 +285,99 @@ def test_enumeration_output_round_trips(tmp_path):
         assert code == 0
         for ft in reparse_enumeration(out, problem):
             ft.validate()
+
+
+def problem_text(problem):
+    terms = [f"{a}: {','.join(map(str, lam)) or '-'}\n" for a, lam in problem.terms]
+    return f"n = {problem.n}\n" + "".join(terms)
+
+
+def reference_enumeration(text, alpha=None):
+    """The enumerate output rendered tableau by tableau by the reference renderer."""
+    problem = parse_problem(text).problem()
+    staircase = problem.staircase if alpha is None else Staircase(alpha, problem.n)
+    blocks = [
+        "\n".join(render_filtered_tableau(ft, index)) + "\n\n"
+        for index, ft in enumerate(enumerate_filtered_tableaux(problem, Shape.full(staircase)), 1)
+    ]
+    return "".join(blocks) + f"count {len(blocks)}\n"
+
+
+def test_enumerate_stream_matches_reference_renderer(tmp_path):
+    # the streamed output renders each filling once; it must equal rendering
+    # every tableau in full
+    rng = random.Random(6)
+    cases = [(text, None) for text in (SIX_BOX, SEVEN_TERM_18, THIRTEEN_BOX_262, FIVE_FACTOR)]
+    cases += [
+        ("n = 6\n" + "3: 1\n" * 9, None),  # Gr(3,6) all boxes, 42 tableaux
+        ("n = 4\n2: 2\n2: 1,1\n", None),  # a valid problem whose answer is 0
+        (SEVEN_TERM_18, (5, 3, 2)),
+        ("n = 4\n2: 1\n2: 1\n2: 1\n2: 1\n", (1, 2)),  # a wider alpha vanishes
+    ]
+    cases += [(problem_text(random_valid_problem(rng, 6)), None) for _ in range(12)]
+    counts = set()
+    for text, alpha in cases:
+        args = ["enumerate"] if alpha is None else ["enumerate", "--alpha", ",".join(map(str, alpha))]
+        code, out, err = run(args, text=text, tmp_path=tmp_path)
+        assert (code, err) == (0, "")
+        assert out == reference_enumeration(text, alpha and sorted(alpha))
+        counts.add(out.rsplit("count ", 1)[1])
+    assert {"0\n", "2\n", "18\n", "42\n", "262\n"} <= counts
+
+
+class DiscardingSink(io.TextIOBase):
+    """A text stream that keeps only the last characters written to it."""
+
+    tail = ""
+
+    def writable(self):
+        return True
+
+    def write(self, text):
+        self.tail = (self.tail + text)[-32:]
+        return len(text)
+
+
+def test_enumerate_memory_is_independent_of_output(tmp_path):
+    # Gr(4,8) all boxes: 24,024 tableaux, about 2.9 MB of output, from a
+    # shape graph of 140 live edges
+    path = tmp_path / "gr48.txt"
+    path.write_text("n = 8\n" + "4: 1\n" * 16)
+    sink = DiscardingSink()
+    tracemalloc.start()
+    try:
+        with redirect_stdout(sink):
+            code = cli.main(["enumerate", str(path)])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == 0 and sink.tail.endswith("\n\ncount 24024\n")
+    assert peak < 1 << 20, peak
+
+
+def test_parser_is_built_once_and_keeps_no_state(tmp_path, monkeypatch):
+    built = []
+    original = argparse.ArgumentParser.__init__
+
+    def counting_init(self, *args, **kwargs):
+        built.append(kwargs.get("prog"))
+        original(self, *args, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting_init)
+    cli._parser.cache_clear()
+    try:
+        first = run(["verify", "--alpha", "1,2,3,5"], text=SEVEN_TERM_18, tmp_path=tmp_path)
+        assert first == (0, "rule=0 oracle=0 OK\n", "")
+        assert built
+        after_first = len(built)
+        # without --alpha the next calls must see the file's cut set again
+        assert run(["count"], text=SEVEN_TERM_18, tmp_path=tmp_path) == (0, "18\n", "")
+        code, out, _ = run(["enumerate"], text=SIX_BOX, tmp_path=tmp_path)
+        assert (code, out.splitlines()[-1]) == (0, "count 2")
+        assert run(["verify"], text=SEVEN_TERM_18, tmp_path=tmp_path) == (0, "rule=18 oracle=18 OK\n", "")
+        assert len(built) == after_first
+    finally:
+        cli._parser.cache_clear()
 
 
 def test_threads_flag_is_deterministic(tmp_path):

@@ -72,6 +72,55 @@ def test_enumerate_lists_each_edge_once(monkeypatch, six_box_problem, seven_term
         assert listed and max(listed.values()) == 1, listed.most_common(3)
 
 
+def test_enumerate_lists_only_live_edges(
+    monkeypatch, six_box_problem, seven_term_problem, thirteen_box_problem, five_factor_problem
+):
+    # the walk counts every candidate edge; fillings are listed only on the
+    # edges some tableau passes through, once each
+    import lrflags.filtered as filtered
+
+    calls = Counter()
+    for name in ("count_lr_tableaux", "enumerate_lr_tableaux"):
+        original = getattr(filtered, name)
+
+        def counting(*args, _name=name, _original=original):
+            calls[_name] += 1
+            return _original(*args)
+
+        monkeypatch.setattr(filtered, name, counting)
+    candidates = {}
+    for problem in (six_box_problem, seven_term_problem, thirteen_box_problem, five_factor_problem):
+        calls.clear()
+        tableaux = list(enumerate_filtered_tableaux(problem))
+        live = {(k, ft.chain[k], ft.chain[k + 1]) for ft in tableaux for k in range(len(problem.terms))}
+        assert calls["enumerate_lr_tableaux"] == len(live)
+        candidates[problem] = calls["count_lr_tableaux"]
+        assert candidates[problem] >= len(live)
+    # the 18 problem has dead edges: 33 candidates, 21 of them live
+    assert candidates[seven_term_problem] == 33
+
+
+def test_step_inner_has_no_trailing_zeros(
+    monkeypatch, seven_term_problem, thirteen_box_problem, five_factor_problem
+):
+    # a trailing zero would make the count cache miss the key as given
+    import lrflags.filtered as filtered
+
+    original = filtered._step_inner
+    results = []
+
+    def recording(*args):
+        results.append(original(*args))
+        return results[-1]
+
+    monkeypatch.setattr(filtered, "_step_inner", recording)
+    for problem in (seven_term_problem, thirteen_box_problem, five_factor_problem):
+        count_filtered_tableaux(problem)
+        list(enumerate_filtered_tableaux(problem))
+    assert results and () in results
+    assert not [inner for inner in results if inner and inner[-1] == 0]
+
+
 def test_count_matches_enumeration(six_box_problem, seven_term_problem, five_factor_problem):
     for problem in (six_box_problem, seven_term_problem, five_factor_problem):
         assert count_filtered_tableaux(problem) == len(list(enumerate_filtered_tableaux(problem)))

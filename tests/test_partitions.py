@@ -15,6 +15,10 @@ def test_normalize_strips_trailing_zeros():
     assert normalize_partition((3, 1, 0, 0)) == (3, 1)
     assert normalize_partition(()) == ()
     assert normalize_partition([2, 2]) == (2, 2)
+    # an already normalized tuple is returned as is, so cache keys and skew
+    # shapes share their caller's tuples
+    rows = (3, 1)
+    assert normalize_partition(rows) is rows
 
 
 def test_normalize_rejects_bad_input():

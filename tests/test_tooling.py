@@ -2,6 +2,8 @@
 
 import importlib
 import importlib.util
+import io
+from contextlib import redirect_stdout
 from pathlib import Path
 
 TRACE_LAYERS = Path(__file__).resolve().parents[1] / "perfbench" / "trace_layers.py"
@@ -40,3 +42,23 @@ def test_rule_looks_up_lr_layer_at_call_time(monkeypatch, six_box_problem):
     assert calls["count_lr_tableaux"] > 0
     assert len(list(filtered.enumerate_filtered_tableaux(six_box_problem))) == 2
     assert calls["enumerate_lr_tableaux"] > 0
+
+
+def test_cli_looks_up_enumeration_at_call_time(monkeypatch, tmp_path):
+    # the tracer's enumerate span patches this name on lrflags.cli
+    import lrflags.cli as cli
+
+    calls = []
+    original = cli.enumerate_filtered_tableaux
+
+    def counting(*args):
+        calls.append(args)
+        return original(*args)
+
+    monkeypatch.setattr(cli, "enumerate_filtered_tableaux", counting)
+    path = tmp_path / "six_box.txt"
+    path.write_text("n = 4\n1: 1\n1: 1\n2: 1\n2: 1\n3: 1\n3: 1\n")
+    with redirect_stdout(io.StringIO()) as out:
+        assert cli.main(["enumerate", str(path)]) == 0
+    assert len(calls) == 1
+    assert out.getvalue().endswith("count 2\n")
