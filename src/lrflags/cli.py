@@ -32,7 +32,6 @@ from .filtered import (
     intersection_number,
     valley_coefficient,
 )
-from .partitions import Shape, Staircase
 from .permutations import valley_from_permutation
 from .problems import ProblemError, SchubertProblem, resolve_alpha, validate_problem
 from .oracle import iterate_monk, oracle_intersection_number
@@ -74,7 +73,7 @@ def _parse_int_list(body: str, lineno: int, col0: int) -> tuple[int, ...]:
     for piece in body.split(","):
         stripped = piece.strip()
         pad = len(piece) - len(piece.lstrip())
-        if not stripped.isdigit():
+        if not stripped.isdecimal():
             raise ParseError(lineno, col0 + offset + pad + 1, f"expected an integer, found {stripped!r}")
         values.append(int(stripped))
         offset += len(piece) + 1
@@ -200,10 +199,11 @@ def _cmd_enumerate(doc: ProblemDocument, args) -> int:
     holds the filling too, so its ``id`` cannot be reused meanwhile.
     """
     problem = doc.problem()
-    alpha = resolve_alpha(problem, _effective_alpha(doc, args.alpha))
-    if alpha == problem.alpha:
-        validate_problem(problem)
-    tableaux = enumerate_filtered_tableaux(problem, Shape.full(Staircase(alpha, problem.n)))
+    if resolve_alpha(problem, _effective_alpha(doc, args.alpha)) != problem.alpha:
+        print("count 0")  # a strictly wider cut set vanishes, as in count
+        return 0
+    validate_problem(problem)
+    tableaux = enumerate_filtered_tableaux(problem)
     steps = [(i, a, {}) for i, (a, _) in enumerate(problem.terms, 1)]
     write = sys.stdout.write
     total = 0
@@ -282,7 +282,7 @@ def _parser() -> argparse.ArgumentParser:
 
 def main(argv: list[str] | None = None) -> int:
     args = _parser().parse_args(argv)
-    if args.threads is not None and args.threads < 1:
+    if args.threads < 1:
         print("error: --threads must be at least 1", file=sys.stderr)
         return 2
     try:

@@ -55,10 +55,6 @@ def _pad(emb: tuple[int, ...], rows: int) -> tuple[int, ...]:
     return emb + (0,) * (rows - len(emb))
 
 
-def _boxes(emb: int, offset: int) -> int:
-    return max(0, emb - offset) if emb else 0
-
-
 def _step_inner(outer: tuple[int, ...], inner: tuple[int, ...], staircase: Staircase) -> tuple[int, ...]:
     """The inner boundary of the step ``outer / inner`` as an ordinary skew shape.
 
@@ -89,23 +85,25 @@ def _step_shapes(
     Results are in ascending lexicographic order.
     """
     m = len(target)
-    off = staircase.offsets
-    left_wall = a - staircase.alpha[0]
     nu = _pad(inner, m)
-    tau = target
-
-    # maximum cells addable in rows i.. , ignoring the weak-decrease coupling
+    left_wall = a - staircase.alpha[0]
+    # row i's new cells begin right of grid column start[i]; room[i] of
+    # them fit in the target, none outside the first a rows or where the
+    # row starts left of the rectangle's edge
+    start = [max(e, o) for e, o in zip(nu, staircase.offsets)]
+    room = [
+        max(target[i], s) - s if i < a and s >= left_wall else 0
+        for i, s in enumerate(start)
+    ]
+    # slack[i]: cells addable in rows i.., ignoring the weak-decrease coupling
     slack = [0] * (m + 1)
     for i in range(m - 1, -1, -1):
-        gain = 0
-        if i < a and max(nu[i], off[i]) >= left_wall:
-            gain = _boxes(tau[i], off[i]) - _boxes(nu[i], off[i])
-        slack[i] = slack[i + 1] + gain
+        slack[i] = slack[i + 1] + room[i]
 
     out: list[tuple[int, ...]] = []
     current = [0] * m
-    # depth first on an explicit stack of (row, row length, cells left);
-    # a popped entry fixes current[row], and children are pushed largest
+    # depth first on an explicit stack of (row, row end, cells left); a
+    # popped entry fixes current[row], and children are pushed largest
     # first, so shapes come out in ascending lexicographic order
     stack = [(-1, staircase.width, size)]
     while stack:
@@ -116,28 +114,16 @@ def _step_shapes(
         if todo > slack[i]:
             continue
         if i == m:
-            if todo == 0:
-                emb = tuple(current)
-                while emb and emb[-1] == 0:
-                    emb = emb[:-1]
-                out.append(emb)
+            emb = tuple(current)
+            while emb and emb[-1] == 0:
+                emb = emb[:-1]
+            out.append(emb)
             continue
-        lo = nu[i]
-        hi = min(tau[i], prev)
-        blocked = i >= a or max(nu[i], off[i]) < left_wall
-        children = []
-        for e in range(lo, hi + 1):
-            if e > lo:
-                if blocked:
-                    break
-                if e <= off[i]:
-                    continue
-            added = _boxes(e, off[i]) - _boxes(nu[i], off[i])
-            if added > todo:
-                break
-            # e as the next row's cap also forbids cells below an empty row
-            children.append((i, e, todo - added))
-        stack.extend(reversed(children))
+        # the row's end caps the next row's, so no cell grows below an
+        # empty row
+        s = start[i]
+        stack.extend((i, s + k, todo - k) for k in range(min(room[i], todo, prev - s), 0, -1))
+        stack.append((i, nu[i], todo))
     return out
 
 

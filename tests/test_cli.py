@@ -81,6 +81,11 @@ def test_parse_error_positions():
         parse_problem("")
     with pytest.raises(ParseError, match="precede"):
         parse_problem("n = 4\n2: 1\nalpha = {2}\n")
+    # superscripts pass str.isdigit but not int()
+    for text, column in (("n = 4\n2: ²\n", 4), ("n = 4\n2: 1,¹\n", 6), ("n = 4\nalpha = {²}\n", 10)):
+        with pytest.raises(ParseError, match="expected an integer") as err:
+            parse_problem(text)
+        assert (err.value.line, err.value.column) == (2, column), text
 
 
 def test_count_command(tmp_path):

@@ -1,19 +1,13 @@
 import doctest
+import importlib
+import pkgutil
 
-import lrflags.oracle
-import lrflags.partitions
-import lrflags.permutations
-import lrflags.problems
-import lrflags.tableaux
+import lrflags
 
 
 def test_module_doctests():
-    for module in (
-        lrflags.partitions,
-        lrflags.tableaux,
-        lrflags.permutations,
-        lrflags.problems,
-        lrflags.oracle,
-    ):
-        failures, _ = doctest.testmod(module, verbose=False)
-        assert failures == 0, module.__name__
+    names = ["lrflags", *(f"lrflags.{info.name}" for info in pkgutil.iter_modules(lrflags.__path__))]
+    assert {"lrflags.cli", "lrflags.filtered", "lrflags.polynomials"} <= set(names)
+    for name in names:
+        failures, _ = doctest.testmod(importlib.import_module(name), verbose=False)
+        assert failures == 0, name

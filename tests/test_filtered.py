@@ -1,4 +1,5 @@
 from collections import Counter
+from itertools import combinations, product
 
 import pytest
 
@@ -119,6 +120,56 @@ def test_step_inner_has_no_trailing_zeros(
         list(enumerate_filtered_tableaux(problem))
     assert results and () in results
     assert not [inner for inner in results if inner and inner[-1] == 0]
+
+
+def test_step_shapes_matches_brute_force():
+    # every embedded row end a step could leave, filtered by the step's
+    # definition: a shape in the region, containing the inner shape, new
+    # cells only in rows 1..a and right of grid column a - min(alpha)
+    from lrflags.filtered import _step_shapes
+
+    def strip(rows):
+        rows = list(rows)
+        while rows and rows[-1] == 0:
+            rows.pop()
+        return tuple(rows)
+
+    def shapes_in(staircase, cap):
+        ends = [[0, *range(off + 1, top + 1)] for off, top in zip(staircase.offsets, cap)]
+        return [e for e in map(strip, product(*ends)) if staircase.is_valid_embedded(e)]
+
+    calls = 0
+    for n in range(2, 6):
+        for r in range(1, n):
+            for alpha in combinations(range(1, n), r):
+                staircase = Staircase(alpha, n)
+                off = staircase.offsets
+                full = staircase.embed(staircase.rows)
+                for target in shapes_in(staircase, full):
+                    cap = target + (0,) * (len(full) - len(target))
+                    for inner in shapes_in(staircase, cap):
+                        nu = inner + (0,) * (len(target) - len(inner))
+                        grown = [
+                            (sum(staircase.extract(emb)) - sum(staircase.extract(inner)), emb)
+                            for emb in shapes_in(staircase, target)
+                            if all(e >= v for e, v in zip(emb + (0,) * len(nu), nu))
+                        ]
+                        for a in alpha:
+                            legal = [
+                                (size, emb)
+                                for size, emb in grown
+                                if all(
+                                    i < a and max(v, off[i]) >= a - alpha[0]
+                                    for i, (e, v) in enumerate(zip(emb + (0,) * len(nu), nu))
+                                    if e != v
+                                )
+                            ]
+                            for size in range(sum(staircase.extract(target)) + 1):
+                                want = sorted(emb for s, emb in legal if s == size)
+                                got = _step_shapes(inner, a, size, staircase, target)
+                                assert got == want, (n, alpha, target, inner, a, size)
+                                calls += 1
+    assert calls == 18762
 
 
 def test_count_matches_enumeration(six_box_problem, seven_term_problem, five_factor_problem):
