@@ -62,9 +62,9 @@ class ProblemDocument:
         return SchubertProblem(self.n, tuple(ordered))
 
 
-_N_RE = re.compile(r"^\s*n\s*=\s*(\d+)\s*$")
-_ALPHA_RE = re.compile(r"^\s*alpha\s*=\s*\{([^}]*)\}\s*$")
-_TERM_RE = re.compile(r"^\s*(\d+)\s*:\s*(.*?)\s*$")
+_N_RE = re.compile(r"^\s*n\s*=\s*(\d+)\s*$", re.ASCII)
+_ALPHA_RE = re.compile(r"^\s*alpha\s*=\s*\{([^}]*)\}\s*$", re.ASCII)
+_TERM_RE = re.compile(r"^\s*(\d+)\s*:\s*(.*?)\s*$", re.ASCII)
 
 
 def _parse_int_list(body: str, lineno: int, col0: int) -> tuple[int, ...]:
@@ -73,7 +73,7 @@ def _parse_int_list(body: str, lineno: int, col0: int) -> tuple[int, ...]:
     for piece in body.split(","):
         stripped = piece.strip()
         pad = len(piece) - len(piece.lstrip())
-        if not stripped.isdecimal():
+        if not (stripped.isascii() and stripped.isdigit()):
             raise ParseError(lineno, col0 + offset + pad + 1, f"expected an integer, found {stripped!r}")
         values.append(int(stripped))
         offset += len(piece) + 1
@@ -263,7 +263,6 @@ def _parser() -> argparse.ArgumentParser:
         description="Intersection numbers of Grassmannian Schubert problems on flag manifolds.",
     )
     common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--alpha", help="explicit cut set, e.g. '{2,3,5}' or '2,3,5'")
     common.add_argument("--threads", type=int, default=1,
                         help="reserved for performance tuning; no effect on output")
     sub = parser.add_subparsers(dest="command", required=True)
@@ -271,6 +270,8 @@ def _parser() -> argparse.ArgumentParser:
                      ("verify", _cmd_verify), ("monk", _cmd_monk)):
         p = sub.add_parser(name, parents=[common])
         p.add_argument("file", help="problem file, or - for stdin")
+        if fn is not _cmd_monk:
+            p.add_argument("--alpha", help="explicit cut set, e.g. '{2,3,5}' or '2,3,5'")
         p.set_defaults(fn=fn)
     p = sub.add_parser("valley", parents=[common])
     p.add_argument("w", help="one-line permutation: digits for n <= 9, else comma separated")

@@ -30,7 +30,6 @@ diagrams, fillings in row-major lexicographic order per step.
 
 from __future__ import annotations
 
-from bisect import bisect_left
 from dataclasses import dataclass
 from itertools import product as iter_product
 from typing import Iterator, Sequence
@@ -77,12 +76,16 @@ def _step_shapes(
     size: int,
     staircase: Staircase,
     target: tuple[int, ...],
+    floor: Sequence[int],
 ) -> list[tuple[int, ...]]:
     """Embedded shapes reachable from ``inner`` by one step at cut ``a``.
 
     The step adds ``size`` cells, all within rows ``1..a`` and strictly
     right of grid column ``a - min(alpha)``, staying inside ``target``.
-    Results are in ascending lexicographic order.
+    Row ``i`` may end only at a grid column ``e`` with
+    ``max(e, offset) >= floor[i]``: left of ``floor[i]`` the later steps
+    cannot complete the row to ``target``.  An all-zero ``floor`` asks
+    nothing.  Results are in ascending lexicographic order.
     """
     m = len(target)
     nu = _pad(inner, m)
@@ -122,34 +125,11 @@ def _step_shapes(
         # the row's end caps the next row's, so no cell grows below an
         # empty row
         s = start[i]
-        stack.extend((i, s + k, todo - k) for k in range(min(room[i], todo, prev - s), 0, -1))
-        stack.append((i, nu[i], todo))
+        low = max(1, floor[i] - s)
+        stack.extend((i, s + k, todo - k) for k in range(min(room[i], todo, prev - s), low - 1, -1))
+        if s >= floor[i]:
+            stack.append((i, nu[i], todo))
     return out
-
-
-def _steps_can_host_rest(
-    outer: tuple[int, ...],
-    target: tuple[int, ...],
-    staircase: Staircase,
-    rest: Sequence[int],
-) -> bool:
-    """Whether every target cell missing from ``outer`` fits some later step.
-
-    A cell in row ``i``, grid column ``c`` is available to a step at cut
-    ``a`` iff ``i <= a`` and ``a <= c + min(alpha) - 1``; per row only the
-    leftmost missing cell matters because its window is tightest.  ``rest``,
-    the later steps' cuts, must be ascending, as a problem's terms are.
-    """
-    alpha0 = staircase.alpha[0]
-    padded = _pad(outer, len(target))
-    for i, tau_i in enumerate(target):
-        if padded[i] >= tau_i:
-            continue
-        c = max(padded[i], staircase.offsets[i]) + 1
-        lo = bisect_left(rest, i + 1)
-        if lo == len(rest) or rest[lo] > c + alpha0 - 1:
-            return False
-    return True
 
 
 @dataclass(frozen=True)
@@ -206,18 +186,27 @@ def _shape_graph(
     shape, mapped to its successors in ascending lexicographic order, each
     with the Littlewood-Richardson multiplicity of its skew step, one
     :func:`count_lr_tableaux` call per edge.  Successors that cannot host
-    the remaining steps, or whose multiplicity is 0, are left out.
+    the remaining steps are never proposed; those whose multiplicity is 0
+    are left out.
     """
-    rest_cuts = [a for a, _ in terms]
+    cuts = [a for a, _ in terms]
+    n, alpha0 = staircase.n, staircase.alpha[0]
+    # reach[r]: the least cut whose rectangle meets row r, n past the last
+    reach = [min((c for c in set(cuts) if c > r), default=n) for r in range(len(target))]
     level = [()]
-    for i, (a, lam) in enumerate(terms):
+    for (a, lam), b in zip(terms, cuts[1:] + [n]):
+        # a target cell this step leaves empty in row r must fit a later
+        # step: one at a cut c >= max(b, r + 1), b the next cut, whose left
+        # wall c - min(alpha) lies left of the cell.  Walls move right as
+        # cuts grow, so the least such cut binds: b for every row r < b.
+        # Rows r >= b meet their reach, whose wall in the problem's own
+        # region is the row's offset, so there they ask nothing.  After the
+        # last step (b = n) every row must reach the target.
+        floor = [min(t, max(b, c) - alpha0) for t, c in zip(target, reach)]
         edges: dict[tuple[int, ...], list[tuple[tuple[int, ...], int]]] = {}
-        rest = rest_cuts[i + 1 :]
         for inner in level:
             succ = edges[inner] = []
-            for outer in _step_shapes(inner, a, sum(lam), staircase, target):
-                if not _steps_can_host_rest(outer, target, staircase, rest):
-                    continue
+            for outer in _step_shapes(inner, a, sum(lam), staircase, target, floor):
                 mult = count_lr_tableaux(outer, _step_inner(outer, inner, staircase), lam)
                 if mult:
                     succ.append((outer, mult))

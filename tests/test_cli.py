@@ -86,6 +86,18 @@ def test_parse_error_positions():
         with pytest.raises(ParseError, match="expected an integer") as err:
             parse_problem(text)
         assert (err.value.line, err.value.column) == (2, column), text
+    # Arabic-Indic and fullwidth digits pass str.isdigit and int() alike,
+    # but <int> is ASCII digits only
+    for text, line, column in (
+        ("n = \u0664\n2: 1\n", 1, 1),
+        ("n = 4\n2: \u0661\n", 2, 4),
+        ("n = 4\nalpha = {\u0662}\n", 2, 10),
+        ("n = 4\n2: \uff14\n", 2, 4),
+        ("n = 4\n\u0662: 1\n", 2, 1),
+    ):
+        with pytest.raises(ParseError) as err:
+            parse_problem(text)
+        assert (err.value.line, err.value.column) == (line, column), text
 
 
 def test_count_command(tmp_path):
@@ -164,6 +176,19 @@ def test_alpha_override_vanishes(tmp_path):
         assert len(results) == 1, results
         code, out, err = results.pop()
         assert (code, out) == (2, "") and "alpha" in err
+
+
+def test_alpha_flag_only_where_it_is_read(tmp_path, capsys):
+    # monk and valley never read a cut set, so argparse rejects the flag
+    text = "n = 3\n1: 1\n2: 1\n2: 1\n"
+    path = tmp_path / "problem.txt"
+    path.write_text(text)
+    for args in (["monk", "--alpha", "1,2"], ["valley", "321", "--alpha", "1,2"]):
+        with pytest.raises(SystemExit) as exc:
+            cli.main(args + [str(path)])
+        assert exc.value.code == 2, args
+        assert "unrecognized arguments: --alpha" in capsys.readouterr().err
+    assert run(["monk"], text=text, tmp_path=tmp_path)[:2] == (0, "chains=1 monk=1 OK\n")
 
 
 def test_alpha_from_file(tmp_path):

@@ -1,10 +1,12 @@
+import random
 from collections import Counter
 from itertools import combinations, product
 
 import pytest
 
-from lrflags.partitions import Shape, Staircase
+from lrflags.partitions import Shape, Staircase, partitions_in_box
 from lrflags.permutations import (
+    all_valley_permutations,
     identity,
     longest,
     valley_from_permutation,
@@ -122,10 +124,24 @@ def test_step_inner_has_no_trailing_zeros(
     assert not [inner for inner in results if inner and inner[-1] == 0]
 
 
+def _hosted(emb, target, off, later, alpha0):
+    """Whether every target cell missing from ``emb`` fits a step at a cut
+    in ``later``: one at least the cell's row, whose left wall (cut minus
+    ``alpha0``) lies left of the cell's grid column."""
+    padded = emb + (0,) * (len(target) - len(emb))
+    return all(
+        any(r <= cut and cut - alpha0 < c for cut in later)
+        for r, (e, t, o) in enumerate(zip(padded, target, off), 1)
+        for c in range(max(e, o) + 1, t + 1)
+    )
+
+
 def test_step_shapes_matches_brute_force():
     # every embedded row end a step could leave, filtered by the step's
     # definition: a shape in the region, containing the inner shape, new
-    # cells only in rows 1..a and right of grid column a - min(alpha)
+    # cells only in rows 1..a and right of grid column a - min(alpha); with
+    # a floor from the later cuts, also every target cell left empty must
+    # fit a later step, at a cut c' >= its row with c' - min(alpha) < its column
     from lrflags.filtered import _step_shapes
 
     def strip(rows):
@@ -164,12 +180,57 @@ def test_step_shapes_matches_brute_force():
                                     if e != v
                                 )
                             ]
+                            # no floor, then the floor of each next cut b, as a
+                            # problem's later terms cover every cut from b on,
+                            # and of the last step (no later cut)
+                            floors = [((0,) * len(target), None)]
+                            for b in [c for c in alpha if c >= a] + [n]:
+                                later = [c for c in alpha if c >= b]
+                                floor = tuple(
+                                    min([t] + [c - alpha[0] for c in later if c > i])
+                                    for i, t in enumerate(target)
+                                )
+                                floors.append((floor, later))
                             for size in range(sum(staircase.extract(target)) + 1):
-                                want = sorted(emb for s, emb in legal if s == size)
-                                got = _step_shapes(inner, a, size, staircase, target)
-                                assert got == want, (n, alpha, target, inner, a, size)
-                                calls += 1
-    assert calls == 18762
+                                for floor, later in floors:
+                                    want = sorted(
+                                        emb
+                                        for s, emb in legal
+                                        if s == size
+                                        and (later is None or _hosted(emb, target, off, later, alpha[0]))
+                                    )
+                                    got = _step_shapes(inner, a, size, staircase, target, floor)
+                                    assert got == want, (n, alpha, target, inner, a, size, floor)
+                                    calls += 1
+    assert calls == 73425
+
+
+def test_shape_graph_keeps_only_hostable_edges():
+    # against a valley target the region is the full staircase, whose rows
+    # outnumber the problem's cuts; every kept edge must still leave each
+    # missing target cell to a later step of the problem
+    from lrflags.filtered import _shape_graph
+
+    rng = random.Random(11)
+    edges = 0
+    for n in (4, 5, 6):
+        full = Staircase(tuple(range(1, n)), n)
+        for valley in all_valley_permutations(n):
+            target = Shape(valley.mu, full).embedded
+            for _ in range(4):
+                cuts = sorted(rng.sample(range(1, n), rng.randint(1, n - 1)))
+                terms, left = [], sum(valley.mu)
+                while left:
+                    a = rng.choice(cuts)
+                    lam = rng.choice([p for p in partitions_in_box(a, n - a) if 0 < sum(p) <= left])
+                    terms.append((a, lam))
+                    left -= sum(lam)
+                terms.sort(key=lambda term: term[0])
+                for k, step in enumerate(_shape_graph(terms, full, target)):
+                    for outer, _ in (edge for succ in step.values() for edge in succ):
+                        assert _hosted(outer, target, full.offsets, [a for a, _ in terms[k + 1 :]], 1)
+                        edges += 1
+    assert edges == 106
 
 
 def test_count_matches_enumeration(six_box_problem, seven_term_problem, five_factor_problem):
@@ -347,7 +408,7 @@ def test_monk_shape_tracks_chains(six_box_problem):
         target = staircase.embed(staircase.rows)
         nxt_shapes = {}
         for emb, ways in shape_level.items():
-            for outer in _step_shapes(emb, a, 1, staircase, target):
+            for outer in _step_shapes(emb, a, 1, staircase, target, (0,) * len(target)):
                 nxt_shapes[outer] = nxt_shapes.get(outer, 0) + ways
         shape_level = nxt_shapes
         as_rows = {staircase.extract(emb): cnt for emb, cnt in shape_level.items()}

@@ -161,7 +161,9 @@ def test_monk_shape_cover_correspondence():
             if shape is None:
                 assert shaped_covers == []
             else:
-                expected = sorted(_step_shapes(shape.embedded, a, 1, staircase, target))
+                expected = sorted(
+                    _step_shapes(shape.embedded, a, 1, staircase, target, (0,) * len(target))
+                )
                 assert shaped_covers == expected, (w, a)
             nxt.update(covers)
         reachable = nxt
