@@ -33,7 +33,7 @@ from .filtered import (
     valley_coefficient,
 )
 from .permutations import valley_from_permutation
-from .problems import ProblemError, SchubertProblem, resolve_alpha, validate_problem
+from .problems import ProblemError, SchubertProblem, validate_problem
 from .oracle import iterate_monk, oracle_intersection_number
 
 __all__ = ["ParseError", "ProblemDocument", "parse_problem", "render_filtered_tableau", "main"]
@@ -151,40 +151,37 @@ def _load_document(path: str) -> ProblemDocument:
         return parse_problem(handle.read())
 
 
-def _parse_alpha_flag(text: str) -> tuple[int, ...]:
-    body = text.strip()
+def _cut_set(doc: ProblemDocument, flag: str | None) -> tuple[int, ...] | None:
+    """The ``--alpha`` cut set, parsed as the file's ``alpha`` line, else the file's."""
+    if flag is None:
+        return doc.alpha
+    body = flag.strip()
     if body.startswith("{") and body.endswith("}"):
         body = body[1:-1]
     try:
-        return tuple(sorted({int(p) for p in body.split(",") if p.strip()}))
-    except ValueError as exc:
-        raise ProblemError(f"bad --alpha value {text!r}") from exc
+        return _parse_int_list(body, 1, 0)
+    except ParseError as exc:
+        raise ProblemError(f"bad --alpha value {flag!r}") from exc
 
 
 def _parse_permutation_arg(text: str, n: int) -> tuple[int, ...]:
     if "," in text:
-        pieces = text.split(",")
-    elif text.isdigit() and n > 9:
+        body = text
+    elif text.isascii() and text.isdigit() and n > 9:
         raise ProblemError("one-line digit notation only works for n <= 9; use commas")
     else:
-        pieces = list(text)  # one-line notation: one digit per entry
+        body = ",".join(text)  # one-line notation: one digit per entry
     try:
-        values = tuple(int(p) for p in pieces)
-    except ValueError:
+        values = _parse_int_list(body, 1, 0)
+    except ParseError:
         raise ProblemError(f"cannot parse permutation {text!r}") from None
     if sorted(values) != list(range(1, n + 1)):
         raise ProblemError(f"{text!r} is not a permutation of 1..{n}")
     return values
 
 
-def _effective_alpha(doc: ProblemDocument, flag: str | None) -> tuple[int, ...] | None:
-    if flag is not None:
-        return _parse_alpha_flag(flag)
-    return doc.alpha
-
-
 def _cmd_count(doc: ProblemDocument, args) -> int:
-    value = intersection_number(doc.problem(), _effective_alpha(doc, args.alpha))
+    value = intersection_number(doc.problem(), _cut_set(doc, args.alpha))
     print(value)
     return 0
 
@@ -199,10 +196,9 @@ def _cmd_enumerate(doc: ProblemDocument, args) -> int:
     holds the filling too, so its ``id`` cannot be reused meanwhile.
     """
     problem = doc.problem()
-    if resolve_alpha(problem, _effective_alpha(doc, args.alpha)) != problem.alpha:
+    if validate_problem(problem, _cut_set(doc, args.alpha)) != problem.alpha:
         print("count 0")  # a strictly wider cut set vanishes, as in count
         return 0
-    validate_problem(problem)
     tableaux = enumerate_filtered_tableaux(problem)
     steps = [(i, a, {}) for i, (a, _) in enumerate(problem.terms, 1)]
     write = sys.stdout.write
@@ -222,7 +218,7 @@ def _cmd_enumerate(doc: ProblemDocument, args) -> int:
 
 def _cmd_verify(doc: ProblemDocument, args) -> int:
     problem = doc.problem()
-    alpha = _effective_alpha(doc, args.alpha)
+    alpha = _cut_set(doc, args.alpha)
     rule = intersection_number(problem, alpha)
     oracle = oracle_intersection_number(problem, alpha)
     verdict = "OK" if rule == oracle else "MISMATCH"
@@ -232,10 +228,9 @@ def _cmd_verify(doc: ProblemDocument, args) -> int:
 
 def _cmd_valley(doc: ProblemDocument, args) -> int:
     problem = doc.problem()
-    if not problem.terms:
-        raise ProblemError("problem has no terms, so alpha is empty")
+    cuts = problem.staircase.alpha  # a termless problem raises here
     word = _parse_permutation_arg(args.w, problem.n)
-    floor = args.floor if args.floor is not None else problem.alpha[-1]
+    floor = args.floor if args.floor is not None else cuts[-1]
     try:
         valley = valley_from_permutation(word, floor)
     except ValueError as exc:

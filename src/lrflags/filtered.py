@@ -36,7 +36,7 @@ from typing import Iterator, Sequence
 
 from .partitions import Shape, Staircase
 from .permutations import ValleyPermutation, check_permutation
-from .problems import ProblemError, SchubertProblem, resolve_alpha, validate_problem
+from .problems import ProblemError, SchubertProblem, validate_problem
 from .tableaux import SkewShape, SkewTableau, count_lr_tableaux, enumerate_lr_tableaux, is_lr_tableau
 
 __all__ = [
@@ -293,9 +293,8 @@ def intersection_number(
     With an explicit ``alpha`` strictly containing the problem's cut set
     the coefficient vanishes; ``alpha`` missing some cut is an error.
     """
-    if resolve_alpha(problem, alpha) != problem.alpha:
+    if validate_problem(problem, alpha) != problem.alpha:
         return 0
-    validate_problem(problem)
     return count_filtered_tableaux(problem)
 
 
@@ -309,8 +308,6 @@ def valley_coefficient(valley: ValleyPermutation, problem: SchubertProblem) -> i
         raise ProblemError(
             f"valley permutation lives in S_{valley.n}, problem in S_{problem.n}"
         )
-    if problem.total_size != sum(valley.mu):
-        return 0
     full = Staircase(tuple(range(1, problem.n)), problem.n)
     target = Shape(valley.mu, full)
     return count_filtered_tableaux(problem, target)

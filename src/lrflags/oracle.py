@@ -54,7 +54,7 @@ from .permutations import (
 )
 from .polynomials import IntPolynomial
 # refine_to_full is unused here, but the layer tracer patches this module's name for it
-from .problems import ProblemError, SchubertProblem, refine_to_full, resolve_alpha, validate_problem
+from .problems import ProblemError, SchubertProblem, refine_to_full, validate_problem
 from .tableaux import count_lr_tableaux
 
 __all__ = [
@@ -235,9 +235,7 @@ def oracle_intersection_number(
     longest permutation with descents in ``alpha`` (the problem's own
     cuts by default), then take the staircase coefficient.
     """
-    chosen = resolve_alpha(problem, alpha)
-    if chosen == problem.alpha:
-        validate_problem(problem)
+    chosen = validate_problem(problem, alpha)
     return oracle_coefficient(longest_with_descents_in(chosen, problem.n), problem)
 
 

@@ -9,7 +9,9 @@ staircase region and a flag manifold of dimension
 
 which equals the number of cells of the region.  The intersection-number
 question is well posed exactly when the total content size matches this
-dimension; that check is :func:`validate_problem`.  Structural validity
+dimension, and it vanishes on any strictly wider cut set.
+:func:`validate_problem` alone decides the cut set to compute on, its
+vanishing and the dimension condition.  Structural validity
 (sortedness, rectangle containment) is enforced at construction so that
 coefficient computations against smaller target shapes, which do not
 need the dimension condition, can share the type.
@@ -28,7 +30,6 @@ __all__ = [
     "SchubertProblem",
     "dimension",
     "validate_problem",
-    "resolve_alpha",
     "refine_problem",
     "refine_to_full",
 ]
@@ -109,40 +110,35 @@ class SchubertProblem:
         return bool(self.terms) and all(lam == (1,) for _, lam in self.terms)
 
 
-def validate_problem(problem: SchubertProblem) -> tuple[int, ...]:
-    """Check the dimension condition and return ``alpha``.
+def validate_problem(
+    problem: SchubertProblem, alpha: Iterable[int] | None = None
+) -> tuple[int, ...]:
+    """Decide the cut set to compute on and return it, sorted.
 
-    Structural conditions hold by construction; here the total content
-    size must equal ``dim(alpha)`` for the intersection number against
-    the full staircase to be a well-posed question.
+    This function alone decides the cut set, its vanishing and the
+    dimension condition.  ``alpha`` defaults to the problem's own cut
+    set; an explicit one must lie in ``1..n-1`` and contain every cut of
+    the problem.  On the problem's own cut set the total content size
+    must equal ``dim(alpha)``.  A strictly wider cut set skips that
+    condition: the intersection number vanishes there, so callers
+    compare the result with ``problem.alpha``.
     """
-    if not problem.terms:
-        raise ProblemError("problem has no terms, so alpha is empty")
-    alpha = problem.alpha
-    want = dimension(alpha, problem.n)
-    got = problem.total_size
-    if got != want:
-        raise DimensionMismatchError(
-            f"dimension condition violated: total content size {got} != "
-            f"dim(alpha) {want} for alpha={set(alpha)}"
-        )
-    return alpha
-
-
-def resolve_alpha(problem: SchubertProblem, alpha: Iterable[int] | None) -> tuple[int, ...]:
-    """The cut set to compute on: ``alpha`` sorted, or the problem's own.
-
-    An explicit ``alpha`` must lie in ``1..n-1`` and contain every cut of
-    the problem.  The dimension condition is left to :func:`validate_problem`.
-    """
+    own = problem.alpha
     if alpha is None:
-        return problem.alpha
-    chosen = tuple(sorted({int(a) for a in alpha}))
-    if not chosen or chosen[0] < 1 or chosen[-1] > problem.n - 1:
-        raise ProblemError(f"alpha {list(chosen)} not contained in 1..{problem.n - 1}")
-    if not set(chosen) >= set(problem.alpha):
+        if not problem.terms:
+            raise ProblemError("problem has no terms, so alpha is empty")
+        chosen = own
+    else:
+        chosen = tuple(sorted({int(a) for a in alpha}))
+    want = dimension(chosen, problem.n)
+    if not set(chosen) >= set(own):
         raise ProblemError(
-            f"alpha {list(chosen)} does not contain every cut {list(problem.alpha)}"
+            f"alpha {list(chosen)} does not contain every cut {list(own)}"
+        )
+    if chosen == own and problem.total_size != want:
+        raise DimensionMismatchError(
+            f"dimension condition violated: total content size {problem.total_size} != "
+            f"dim(alpha) {want} for alpha={set(chosen)}"
         )
     return chosen
 

@@ -152,6 +152,10 @@ def test_valley_command(tmp_path):
                          text="n = 3\n1: 1\n2: 1\n2: 1\n", tmp_path=tmp_path)
     assert code == 2
     assert "not a valley" in err
+    # one-line notation takes ASCII digits only, as the file parser does
+    code, out, err = run(["valley", "٣٢١"], text="n = 3\n1: 1\n2: 1\n2: 1\n", tmp_path=tmp_path)
+    assert (code, out) == (2, "")
+    assert "cannot parse permutation '٣٢١'" in err
 
 
 def test_valley_with_explicit_floor(tmp_path):
@@ -170,7 +174,7 @@ def test_alpha_override_vanishes(tmp_path):
     code, out, _ = run(["enumerate", "--alpha", "{1,2}"], text=text, tmp_path=tmp_path)
     assert (code, out) == (0, "count 0\n")
     # a bad alpha gets the same diagnostic from every command
-    for bad in ("{0,2}", "{}", "{1}"):
+    for bad in ("{0,2}", "{}", "{1}", "١,٢", "1,2,"):
         results = {run([cmd, "--alpha", bad], text=text, tmp_path=tmp_path)
                    for cmd in ("count", "enumerate", "verify")}
         assert len(results) == 1, results
@@ -436,6 +440,9 @@ def test_document_without_terms_exits_2(tmp_path):
     assert "no terms" in err
     code, _, err = run(["count"], text="n = 2\n", tmp_path=tmp_path)
     assert code == 2
+    for floor in ([], ["--floor", "1"]):
+        code, out, err = run(["valley", "21"] + floor, text="n = 2\n", tmp_path=tmp_path)
+        assert (code, out) == (2, "") and "no terms" in err, floor
 
 
 def test_comma_separated_permutation_parsing():

@@ -342,6 +342,9 @@ def test_superset_alpha_vanishes():
     three_boxes = SchubertProblem(4, tuple((2, (1,)) for _ in range(3)))
     with pytest.raises(DimensionMismatchError):
         intersection_number(three_boxes, alpha=(2,))
+    # a strictly wider cut set vanishes before any dimension or term check
+    assert intersection_number(three_boxes, alpha=(1, 2)) == 0
+    assert intersection_number(SchubertProblem(4, ()), alpha=(1, 2)) == 0
 
 
 def test_valley_coefficient_examples(six_box_problem):

@@ -187,6 +187,9 @@ def test_oracle_alpha_override(six_box_problem):
     three_boxes = SchubertProblem(4, tuple((2, (1,)) for _ in range(3)))
     with pytest.raises(DimensionMismatchError):
         oracle_intersection_number(three_boxes, alpha=(2,))
+    # a strictly wider cut set is computed on, unchecked, and gives 0
+    assert oracle_intersection_number(three_boxes, alpha=(1, 2)) == 0
+    assert oracle_intersection_number(SchubertProblem(4, ()), alpha=(1, 2)) == 0
 
 
 def test_oracle_coefficient_top_and_identity(six_box_problem):

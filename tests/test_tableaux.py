@@ -1,4 +1,4 @@
-from itertools import product
+from itertools import combinations_with_replacement, product
 
 import pytest
 
@@ -19,23 +19,38 @@ def tableau(outer, inner, rows):
 
 
 def brute_force_lr(shape: SkewShape, lam) -> list[SkewTableau]:
-    """Filter every filling with entries up to len(lam); the reference oracle."""
+    """Every Littlewood-Richardson filling, by exhaustion; the reference oracle.
+
+    Fills each row with weakly increasing entries up to len(lam), in
+    row-major lexicographic order, then keeps the fillings whose columns
+    strictly increase, whose content is ``lam`` and whose reading word
+    (rows right to left, top row first) is a ballot word.  Written out
+    naively, with no lrflags predicate.
+    """
+    lam = tuple(v for v in lam if v)
     if shape.size != sum(lam):
         return []
-    cells = list(shape.cells())
-    if not cells:
-        empty = SkewTableau(shape, tuple(() for _ in shape.outer))
-        return [empty] if is_lr_tableau(empty, lam) else []
+    outer = shape.outer
+    inner = (shape.inner + (0,) * len(outer))[: len(outer)]
+    rows_per_row = [list(combinations_with_replacement(range(1, len(lam) + 1), o - i))
+                    for o, i in zip(outer, inner)]
     found = []
-    for combo in product(range(1, len(lam) + 1), repeat=len(cells)):
-        grid = dict(zip(cells, combo))
-        rows = tuple(
-            tuple(grid[(r, c)] for c in range(shape.row_span(r)[0], shape.row_span(r)[1] + 1))
-            for r in range(1, len(shape.outer) + 1)
-        )
-        t = SkewTableau(shape, rows)
-        if is_lr_tableau(t, lam):
-            found.append(t)
+    for rows in product(*rows_per_row):
+        # column c of row r holds rows[r][c - inner[r]], 0-indexed
+        if any(rows[r][c - inner[r]] <= rows[r - 1][c - inner[r - 1]]
+               for r in range(1, len(rows))
+               for c in range(max(inner[r], inner[r - 1]), min(outer[r], outer[r - 1]))):
+            continue
+        word = [v for row in rows for v in reversed(row)]
+        if any(word.count(v) != lam[v - 1] for v in range(1, len(lam) + 1)):
+            continue
+        seen = [0] * (len(lam) + 1)
+        for v in word:
+            seen[v] += 1
+            if v > 1 and seen[v] > seen[v - 1]:
+                break
+        else:
+            found.append(SkewTableau(shape, rows))
     return found
 
 

@@ -1,22 +1,29 @@
 """Checks on the repository's tooling that reads the library from outside."""
 
+import ast
 import importlib
 import importlib.util
 import io
 from contextlib import redirect_stdout
 from pathlib import Path
 
-TRACE_LAYERS = Path(__file__).resolve().parents[1] / "perfbench" / "trace_layers.py"
+ROOT = Path(__file__).resolve().parents[1]
+TRACE_LAYERS = ROOT / "perfbench" / "trace_layers.py"
+
+
+def _trace_patches():
+    spec = importlib.util.spec_from_file_location("trace_layers", TRACE_LAYERS)
+    trace_layers = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(trace_layers)
+    return trace_layers.PATCHES
 
 
 def test_trace_patches_resolve():
     # the benchmark's layer tracer patches these names by lookup, with no
     # default, so a renamed or moved function breaks every traced pass
-    spec = importlib.util.spec_from_file_location("trace_layers", TRACE_LAYERS)
-    trace_layers = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(trace_layers)
-    assert trace_layers.PATCHES
-    for module_name, attr, _ in trace_layers.PATCHES:
+    patches = _trace_patches()
+    assert patches
+    for module_name, attr, _ in patches:
         owner = importlib.import_module(module_name)
         for part in attr.split("."):
             assert hasattr(owner, part), (module_name, attr)
@@ -62,3 +69,33 @@ def test_cli_looks_up_enumeration_at_call_time(monkeypatch, tmp_path):
         assert cli.main(["enumerate", str(path)]) == 0
     assert len(calls) == 1
     assert out.getvalue().endswith("count 2\n")
+
+
+def test_library_imports_only_what_it_uses():
+    # an imported name must be used, or re-exported through __all__; the
+    # one exception is a name the layer tracer patches on that module
+    patched = {(module, attr) for module, attr, _ in _trace_patches()}
+    unused = []
+    for path in sorted((ROOT / "src" / "lrflags").glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        imported = {
+            (alias.asname or alias.name).split(".")[0]
+            for node in ast.walk(tree)
+            if isinstance(node, (ast.Import, ast.ImportFrom))
+            and not (isinstance(node, ast.ImportFrom) and node.module == "__future__")
+            for alias in node.names
+        }
+        used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+        exported = {
+            elt.value
+            for node in tree.body
+            if isinstance(node, ast.Assign)
+            and any(isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets)
+            for elt in node.value.elts
+        }
+        module = f"lrflags.{path.stem}" if path.stem != "__init__" else "lrflags"
+        unused += [
+            (module, name) for name in sorted(imported - used - exported)
+            if (module, name) not in patched
+        ]
+    assert not unused, unused
