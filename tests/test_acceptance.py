@@ -38,7 +38,7 @@ from lrflags.oracle import (
     schubert_polynomial,
     sum_of_first_variables,
 )
-from lrflags.tableaux import SkewShape, enumerate_lr_tableaux
+from lrflags.tableaux import SkewShape, count_lr_tableaux, enumerate_lr_tableaux
 
 
 def report(k, name, elapsed, limit):
@@ -156,6 +156,8 @@ def test_criterion_7_structural_suites(tmp_path, six_box_problem, seven_term_pro
             fast = enumerate_lr_tableaux(shape, lam)
             slow = brute_force_lr(shape, lam)
             assert [t.rows for t in fast] == [t.rows for t in slow]
+            # the listing rechecks each leaf; the count does not
+            assert count_lr_tableaux(outer, inner, lam) == len(slow)
 
     # (b) Monk's formula against polynomial products, n <= 5
     import itertools

@@ -13,6 +13,7 @@ from lrflags.permutations import (
     identity,
     length,
     longest,
+    longest_with_descents_in,
     reverse_prefix,
     shape_of_grassmannian,
     simple_transposition,
@@ -190,6 +191,33 @@ def test_oracle_alpha_override(six_box_problem):
     # a strictly wider cut set is computed on, unchecked, and gives 0
     assert oracle_intersection_number(three_boxes, alpha=(1, 2)) == 0
     assert oracle_intersection_number(SchubertProblem(4, ()), alpha=(1, 2)) == 0
+    # every answer above agrees with the dual-class route
+    for prob, alpha in ((problem, (1, 2)), (problem, (2, 3)), (problem, (2,)),
+                        (six_box_problem, (1, 2, 3)), (three_boxes, (1, 2)),
+                        (SchubertProblem(4, ()), (1, 2))):
+        assert oracle_intersection_number(prob, alpha) == oracle_coefficient(
+            longest_with_descents_in(alpha, prob.n), prob
+        ), (prob, alpha)
+
+
+def test_block_staircase_route_matches_dual_class_route():
+    # the point class read by pairing with x^delta_P equals the one read by
+    # Poincare duality, on the problem's own cut set and on every strictly
+    # wider one (where the dimension differs and both give 0)
+    from conftest import all_valid_problems
+
+    nonzero = 0
+    for n in range(2, 6):
+        for problem in all_valid_problems(n):
+            free = [c for c in range(1, n) if c not in problem.alpha]
+            for k in range(len(free) + 1):
+                for extra in itertools.combinations(free, k):
+                    alpha = tuple(sorted(problem.alpha + extra))
+                    got = oracle_intersection_number(problem, alpha)
+                    want = oracle_coefficient(longest_with_descents_in(alpha, n), problem)
+                    assert got == want, (problem, alpha)
+                    nonzero += got != 0
+    assert nonzero == 7037
 
 
 def test_oracle_coefficient_top_and_identity(six_box_problem):
@@ -289,7 +317,6 @@ def test_top_product_prunes_only_what_the_extraction_never_reads():
     from conftest import all_valid_problems, nonzero_sample
 
     from lrflags.oracle import _class_product, _top_product
-    from lrflags.permutations import longest_with_descents_in
 
     problems = [p for n in range(2, 6) for p in all_valid_problems(n)]
     problems += nonzero_sample(7, 77) + nonzero_sample(8, 78)
@@ -298,7 +325,7 @@ def test_top_product_prunes_only_what_the_extraction_never_reads():
         n = problem.n
         words = [grassmannian_permutation(a, lam, n) for a, lam in problem.terms]
         words.append(dual(longest_with_descents_in(problem.alpha, n)))
-        top, full = _top_product(words, n), _class_product(words, n)
+        top, full = _top_product(IntPolynomial.one(n), words), _class_product(words, n)
         assert staircase_coefficient(top, n) == staircase_coefficient(full, n), problem
         for exps in top.terms():
             assert all(e <= d for e, d in zip(sorted(exps, reverse=True), range(n - 1, -1, -1)))

@@ -90,7 +90,7 @@ def test_box_specialization_chains_equal_rule():
 def test_rule_matches_oracle_on_nonzero_n7_sample():
     # beyond the acceptance sweep: taller ambients, biased to problems
     # whose answer is at least 2 so the agreement is informative
-    for n, seed in ((7, 77), (8, 78), (9, 79)):
+    for n, seed in ((7, 77), (8, 78), (9, 79), (10, 80)):
         for problem in nonzero_sample(n, seed):
             assert oracle_intersection_number(problem) == intersection_number(problem), problem
 
