@@ -2,8 +2,9 @@
 
 Two independent computations of every number: a combinatorial rule that
 counts chains of shapes with Littlewood-Richardson fillings inside a
-staircase region, and a Schubert-polynomial oracle built from divided
-differences and Poincare duality.  The command-line front end compares
+staircase region, and a Schubert-polynomial oracle that pairs the
+problem's product with a block-staircase monomial and reads the point
+class off by divided differences.  The command-line front end compares
 them on demand.
 """
 

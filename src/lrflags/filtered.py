@@ -21,11 +21,14 @@ Shapes travel through this module as embedded diagrams (see
 :mod:`lrflags.partitions`): ordinary partitions recording, per region
 row, the grid column of the last cell.  Counting and enumeration share
 one walk of the shape graph (``_shape_graph``), each edge carrying its
-cached Littlewood-Richardson multiplicity: counting folds the
-multiplicities into a dynamic program; enumeration trims the graph back
-to the edges that reach the target, lists the fillings of those live
-edges only, once each, and lists chains in lexicographic order on those
-diagrams, fillings in row-major lexicographic order per step.
+Littlewood-Richardson multiplicity: 1 by Pieri's rule for a one-row or
+one-column content, whose steps the stepper proposes only as horizontal
+or vertical strips, and the cached count of the fillings otherwise.
+Counting folds the multiplicities into a dynamic program; enumeration
+trims the graph back to the edges that reach the target, lists the
+fillings of those live edges only, once each, and lists chains in
+lexicographic order on those diagrams, fillings in row-major
+lexicographic order per step.
 """
 
 from __future__ import annotations
@@ -73,31 +76,41 @@ def _step_inner(outer: tuple[int, ...], inner: tuple[int, ...], staircase: Stair
 def _step_shapes(
     inner: tuple[int, ...],
     a: int,
-    size: int,
+    lam: tuple[int, ...],
     staircase: Staircase,
     target: tuple[int, ...],
     floor: Sequence[int],
 ) -> list[tuple[int, ...]]:
     """Embedded shapes reachable from ``inner`` by one step at cut ``a``.
 
-    The step adds ``size`` cells, all within rows ``1..a`` and strictly
-    right of grid column ``a - min(alpha)``, staying inside ``target``.
-    Row ``i`` may end only at a grid column ``e`` with
+    The step adds ``sum(lam)`` cells for content ``lam``, all within rows
+    ``1..a`` and strictly right of grid column ``a - min(alpha)``, staying
+    inside ``target``.  Row ``i`` may end only at a grid column ``e`` with
     ``max(e, offset) >= floor[i]``: left of ``floor[i]`` the later steps
     cannot complete the row to ``target``.  An all-zero ``floor`` asks
     nothing.  Results are in ascending lexicographic order.
+
+    Two caps from the content drop only shapes whose step has no
+    Littlewood-Richardson filling of content ``lam``.  A row gains at
+    most ``lam[0]`` cells: it is an increasing subsequence of a word that
+    rectifies to shape ``lam`` (Schensted, Greene), so for a one-column
+    content every step is a vertical strip.  For a one-row content every
+    step is a horizontal strip: row ``i`` ends no further right than the
+    step's inner boundary in row ``i - 1`` (see :func:`_step_inner`).
     """
     m = len(target)
     nu = _pad(inner, m)
     left_wall = a - staircase.alpha[0]
+    widest = lam[0] if lam else 0
     # row i's new cells begin right of grid column start[i]; room[i] of
-    # them fit in the target, none outside the first a rows or where the
-    # row starts left of the rectangle's edge
+    # them fit in the target and in a row of the content, none outside
+    # the first a rows or where the row starts left of the rectangle's edge
     start = [max(e, o) for e, o in zip(nu, staircase.offsets)]
     room = [
-        max(target[i], s) - s if i < a and s >= left_wall else 0
+        min(max(target[i], s) - s, widest) if i < a and s >= left_wall else 0
         for i, s in enumerate(start)
     ]
+    one_row = len(lam) <= 1
     # slack[i]: cells addable in rows i.., ignoring the weak-decrease coupling
     slack = [0] * (m + 1)
     for i in range(m - 1, -1, -1):
@@ -108,11 +121,14 @@ def _step_shapes(
     # depth first on an explicit stack of (row, row end, cells left); a
     # popped entry fixes current[row], and children are pushed largest
     # first, so shapes come out in ascending lexicographic order
-    stack = [(-1, staircase.width, size)]
+    stack = [(-1, staircase.width, sum(lam))]
     while stack:
         i, prev, todo = stack.pop()
         if i >= 0:
             current[i] = prev
+            if one_row:
+                # a horizontal strip: no new cell below one of this row's
+                prev = min(prev, start[i])
         i += 1
         if todo > slack[i]:
             continue
@@ -184,10 +200,13 @@ def _shape_graph(
 
     For each term, yields every inner shape reachable from the empty
     shape, mapped to its successors in ascending lexicographic order, each
-    with the Littlewood-Richardson multiplicity of its skew step, one
-    :func:`count_lr_tableaux` call per edge.  Successors that cannot host
-    the remaining steps are never proposed; those whose multiplicity is 0
-    are left out.
+    with the Littlewood-Richardson multiplicity of its skew step.  For a
+    one-row or one-column content every proposed step is a horizontal or
+    vertical strip, with multiplicity 1 by Pieri's rule; any other content
+    takes one :func:`count_lr_tableaux` call per edge.  Successors that
+    cannot host the remaining steps, or whose step is wider than the
+    content allows, are never proposed; those whose multiplicity is 0 are
+    left out.
     """
     cuts = [a for a, _ in terms]
     n, alpha0 = staircase.n, staircase.alpha[0]
@@ -203,11 +222,17 @@ def _shape_graph(
         # region is the row's offset, so there they ask nothing.  After the
         # last step (b = n) every row must reach the target.
         floor = [min(t, max(b, c) - alpha0) for t, c in zip(target, reach)]
+        # Pieri's rule: the strips proposed for a one-row or one-column
+        # content have exactly one filling each
+        pieri = len(lam) <= 1 or lam[0] == 1
         edges: dict[tuple[int, ...], list[tuple[tuple[int, ...], int]]] = {}
         for inner in level:
             succ = edges[inner] = []
-            for outer in _step_shapes(inner, a, sum(lam), staircase, target, floor):
-                mult = count_lr_tableaux(outer, _step_inner(outer, inner, staircase), lam)
+            for outer in _step_shapes(inner, a, lam, staircase, target, floor):
+                if pieri:
+                    mult = 1
+                else:
+                    mult = count_lr_tableaux(outer, _step_inner(outer, inner, staircase), lam)
                 if mult:
                     succ.append((outer, mult))
         yield edges

@@ -110,6 +110,11 @@ def schubert_polynomial(w: Sequence[int]) -> IntPolynomial:
     >>> schubert_polynomial((2, 1, 3)).terms()
     {(1, 0, 0): 1}
     """
+    try:
+        # only checked permutations are stored, so a hit needs no check
+        return _schubert_cache[w]
+    except (KeyError, TypeError):  # a miss, or an unhashable word
+        pass
     w = check_permutation(w)
     n = len(w)
     if len(_schubert_cache) >= _SCHUBERT_CACHE_CAP:

@@ -78,8 +78,8 @@ def test_enumerate_lists_each_edge_once(monkeypatch, six_box_problem, seven_term
 def test_enumerate_lists_only_live_edges(
     monkeypatch, six_box_problem, seven_term_problem, thirteen_box_problem, five_factor_problem
 ):
-    # the walk counts every candidate edge; fillings are listed only on the
-    # edges some tableau passes through, once each
+    # the walk weighs every candidate edge the stepper proposes; fillings are
+    # listed only on the edges some tableau passes through, once each
     import lrflags.filtered as filtered
 
     calls = Counter()
@@ -91,16 +91,29 @@ def test_enumerate_lists_only_live_edges(
             return _original(*args)
 
         monkeypatch.setattr(filtered, name, counting)
-    candidates = {}
+    original_step_shapes = filtered._step_shapes
+
+    def proposing(*args):
+        proposed = original_step_shapes(*args)
+        calls["proposed"] += len(proposed)
+        return proposed
+
+    monkeypatch.setattr(filtered, "_step_shapes", proposing)
+    candidates, weighed = {}, {}
     for problem in (six_box_problem, seven_term_problem, thirteen_box_problem, five_factor_problem):
         calls.clear()
         tableaux = list(enumerate_filtered_tableaux(problem))
         live = {(k, ft.chain[k], ft.chain[k + 1]) for ft in tableaux for k in range(len(problem.terms))}
         assert calls["enumerate_lr_tableaux"] == len(live)
-        candidates[problem] = calls["count_lr_tableaux"]
+        candidates[problem] = calls["proposed"]
+        weighed[problem] = calls["count_lr_tableaux"]
         assert candidates[problem] >= len(live)
-    # the 18 problem has dead edges: 33 candidates, 21 of them live
-    assert candidates[seven_term_problem] == 33
+    # the 18 problem has dead edges: 26 candidates, 21 of them live; only its
+    # 13 candidates of content (2, 2) or (2, 1) ask count_lr_tableaux, and
+    # all-box problems never do
+    assert candidates[seven_term_problem] == 26
+    assert weighed[seven_term_problem] == 13
+    assert weighed[six_box_problem] == weighed[thirteen_box_problem] == 0
 
 
 def test_step_inner_has_no_trailing_zeros(
@@ -136,23 +149,49 @@ def _hosted(emb, target, off, later, alpha0):
     )
 
 
+def _strip(rows):
+    rows = list(rows)
+    while rows and rows[-1] == 0:
+        rows.pop()
+    return tuple(rows)
+
+
+def _shapes_in(staircase, cap):
+    """Every embedded shape of the region with row ``i`` ending by ``cap[i]``."""
+    ends = [[0, *range(off + 1, top + 1)] for off, top in zip(staircase.offsets, cap)]
+    return [e for e in map(_strip, product(*ends)) if staircase.is_valid_embedded(e)]
+
+
+def _contents(size):
+    """A one-row, a one-column and a mixed content of ``size``, where they differ."""
+    candidates = [(size,), (1,) * size, (size - size // 2, size // 2)]
+    return list(dict.fromkeys(lam for lam in candidates if 0 not in lam))
+
+
+def _new_cells(emb, inner, off):
+    """The cells ``(row, grid column)`` a step from ``inner`` to ``emb`` adds."""
+    padded = inner + (0,) * (len(emb) - len(inner))
+    return [(r, c) for r, (e, v, o) in enumerate(zip(emb, padded, off)) for c in range(max(v, o) + 1, e + 1)]
+
+
+def _may_hold(cells, lam):
+    """Whether the new cells pass the caps a content ``lam`` puts on a step:
+    no row longer than ``lam[0]`` (for ``lam[0] == 1``, a vertical strip:
+    no two cells in a row), and for a one-row content a horizontal strip
+    (no two cells in a column)."""
+    widest_row = max(Counter(r for r, _ in cells).values(), default=0)
+    tallest_column = max(Counter(c for _, c in cells).values(), default=0)
+    return widest_row <= (lam[0] if lam else 0) and (len(lam) > 1 or tallest_column <= 1)
+
+
 def test_step_shapes_matches_brute_force():
     # every embedded row end a step could leave, filtered by the step's
     # definition: a shape in the region, containing the inner shape, new
     # cells only in rows 1..a and right of grid column a - min(alpha); with
     # a floor from the later cuts, also every target cell left empty must
-    # fit a later step, at a cut c' >= its row with c' - min(alpha) < its column
+    # fit a later step, at a cut c' >= its row with c' - min(alpha) < its
+    # column; and the content's caps on the new cells (_may_hold)
     from lrflags.filtered import _step_shapes
-
-    def strip(rows):
-        rows = list(rows)
-        while rows and rows[-1] == 0:
-            rows.pop()
-        return tuple(rows)
-
-    def shapes_in(staircase, cap):
-        ends = [[0, *range(off + 1, top + 1)] for off, top in zip(staircase.offsets, cap)]
-        return [e for e in map(strip, product(*ends)) if staircase.is_valid_embedded(e)]
 
     calls = 0
     for n in range(2, 6):
@@ -161,13 +200,13 @@ def test_step_shapes_matches_brute_force():
                 staircase = Staircase(alpha, n)
                 off = staircase.offsets
                 full = staircase.embed(staircase.rows)
-                for target in shapes_in(staircase, full):
+                for target in _shapes_in(staircase, full):
                     cap = target + (0,) * (len(full) - len(target))
-                    for inner in shapes_in(staircase, cap):
+                    for inner in _shapes_in(staircase, cap):
                         nu = inner + (0,) * (len(target) - len(inner))
                         grown = [
                             (sum(staircase.extract(emb)) - sum(staircase.extract(inner)), emb)
-                            for emb in shapes_in(staircase, target)
+                            for emb in _shapes_in(staircase, target)
                             if all(e >= v for e, v in zip(emb + (0,) * len(nu), nu))
                         ]
                         for a in alpha:
@@ -193,16 +232,61 @@ def test_step_shapes_matches_brute_force():
                                 floors.append((floor, later))
                             for size in range(sum(staircase.extract(target)) + 1):
                                 for floor, later in floors:
-                                    want = sorted(
+                                    hosted = [
                                         emb
                                         for s, emb in legal
                                         if s == size
                                         and (later is None or _hosted(emb, target, off, later, alpha[0]))
-                                    )
-                                    got = _step_shapes(inner, a, size, staircase, target, floor)
-                                    assert got == want, (n, alpha, target, inner, a, size, floor)
-                                    calls += 1
-    assert calls == 73425
+                                    ]
+                                    for lam in _contents(size):
+                                        want = sorted(
+                                            emb for emb in hosted if _may_hold(_new_cells(emb, inner, off), lam)
+                                        )
+                                        got = _step_shapes(inner, a, lam, staircase, target, floor)
+                                        assert got == want, (n, alpha, target, inner, a, lam, floor)
+                                        calls += 1
+    assert calls == 164490
+
+
+def test_step_caps_drop_only_zero_multiplicities():
+    # Pieri's rule and the row-width bound, against the LR backtracker: on
+    # every cut set with n <= 5, every inner shape and every content of each
+    # cut, a one-row or one-column step the stepper proposes has exactly one
+    # filling, and a legal step it leaves out has none
+    from lrflags.filtered import _step_shapes
+    from lrflags.tableaux import count_lr_tableaux
+
+    proposed = dropped = 0
+    for n in range(2, 6):
+        for r in range(1, n):
+            for alpha in combinations(range(1, n), r):
+                staircase = Staircase(alpha, n)
+                off = staircase.offsets
+                full = staircase.embed(staircase.rows)
+                region = _shapes_in(staircase, full)
+                for inner in region:
+                    nu = inner + (0,) * (len(full) - len(inner))
+                    for a in alpha:
+                        legal = {}
+                        for emb in region:
+                            cells = _new_cells(emb, inner, off)
+                            if all(e >= v for e, v in zip(emb + (0,) * len(nu), nu)) and all(
+                                row < a and col > a - alpha[0] for row, col in cells
+                            ):
+                                legal.setdefault(len(cells), []).append(emb)
+                        for lam in partitions_in_box(a, n - a):
+                            got = set(_step_shapes(inner, a, lam, staircase, full, (0,) * len(full)))
+                            for emb in legal.get(sum(lam), []):
+                                padded = emb + (0,) * (len(nu) - len(emb))
+                                step_inner = [min(e, max(v, o)) for e, v, o in zip(padded, nu, off)]
+                                mult = count_lr_tableaux(emb, _strip(step_inner), lam)
+                                if emb not in got:
+                                    assert mult == 0, (n, alpha, inner, a, lam, emb)
+                                    dropped += 1
+                                elif len(lam) <= 1 or lam[0] == 1:
+                                    assert mult == 1, (n, alpha, inner, a, lam, emb)
+                                    proposed += 1
+    assert (proposed, dropped) == (1329, 264)
 
 
 def test_shape_graph_keeps_only_hostable_edges():
@@ -411,7 +495,7 @@ def test_monk_shape_tracks_chains(six_box_problem):
         target = staircase.embed(staircase.rows)
         nxt_shapes = {}
         for emb, ways in shape_level.items():
-            for outer in _step_shapes(emb, a, 1, staircase, target, (0,) * len(target)):
+            for outer in _step_shapes(emb, a, (1,), staircase, target, (0,) * len(target)):
                 nxt_shapes[outer] = nxt_shapes.get(outer, 0) + ways
         shape_level = nxt_shapes
         as_rows = {staircase.extract(emb): cnt for emb, cnt in shape_level.items()}

@@ -52,6 +52,11 @@ def test_schubert_polynomial_base_cases():
     assert schubert_polynomial(identity(n)) == IntPolynomial.one(n)
     for a in range(1, n):
         assert schubert_polynomial(simple_transposition(n, a)) == sum_of_first_variables(a, n)
+    # the cache is read before the check; a miss, a list included, is still checked
+    assert schubert_polynomial(list(longest(n))) == schubert_polynomial(longest(n))
+    for word in ((1, 1), [2, 2], (1, 3)):
+        with pytest.raises(ValueError):
+            schubert_polynomial(word)
 
 
 def test_schubert_polynomial_of_large_identity():

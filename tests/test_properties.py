@@ -162,7 +162,7 @@ def test_monk_shape_cover_correspondence():
                 assert shaped_covers == []
             else:
                 expected = sorted(
-                    _step_shapes(shape.embedded, a, 1, staircase, target, (0,) * len(target))
+                    _step_shapes(shape.embedded, a, (1,), staircase, target, (0,) * len(target))
                 )
                 assert shaped_covers == expected, (w, a)
             nxt.update(covers)

@@ -31,9 +31,11 @@ def test_trace_patches_resolve():
         assert callable(owner), (module_name, attr)
 
 
-def test_rule_looks_up_lr_layer_at_call_time(monkeypatch, six_box_problem):
+def test_rule_looks_up_lr_layer_at_call_time(monkeypatch, seven_term_problem):
     # the tracer patches these names on lrflags.filtered; a callable bound at
-    # import time (say, a default argument) would bypass the patch and read 0
+    # import time (say, a default argument) would bypass the patch and read 0.
+    # The 18 problem's (2, 2) and (2, 1) contents take their multiplicities
+    # from count_lr_tableaux; one-row and one-column steps do not.
     import lrflags.filtered as filtered
 
     calls = {"count_lr_tableaux": 0, "enumerate_lr_tableaux": 0}
@@ -45,9 +47,9 @@ def test_rule_looks_up_lr_layer_at_call_time(monkeypatch, six_box_problem):
             return _original(*args)
 
         monkeypatch.setattr(filtered, name, counting)
-    assert filtered.count_filtered_tableaux(six_box_problem) == 2
+    assert filtered.count_filtered_tableaux(seven_term_problem) == 18
     assert calls["count_lr_tableaux"] > 0
-    assert len(list(filtered.enumerate_filtered_tableaux(six_box_problem))) == 2
+    assert len(list(filtered.enumerate_filtered_tableaux(seven_term_problem))) == 18
     assert calls["enumerate_lr_tableaux"] > 0
 
 
