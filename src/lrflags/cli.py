@@ -283,11 +283,10 @@ def main(argv: list[str] | None = None) -> int:
         return 2
     try:
         doc = _load_document(args.file)
+        if doc.alpha is not None and "alpha" not in args:
+            raise ProblemError(f"{args.command} reads no cut set; remove the file's 'alpha = {{...}}' line")
         return args.fn(doc, args)
-    except (ParseError, ProblemError, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except OSError as exc:
+    except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

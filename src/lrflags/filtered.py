@@ -22,8 +22,8 @@ Shapes travel through this module as embedded diagrams (see
 row, the grid column of the last cell.  Counting and enumeration share
 one walk of the shape graph (``_shape_graph``), each edge carrying its
 Littlewood-Richardson multiplicity: 1 by Pieri's rule for a one-row or
-one-column content, whose steps the stepper proposes only as horizontal
-or vertical strips, and the cached count of the fillings otherwise.
+one-column content, whose steps the stepper's row and column caps leave
+as strips, and the cached count of the fillings otherwise.
 Counting folds the multiplicities into a dynamic program; enumeration
 trims the graph back to the edges that reach the target, lists the
 fillings of those live edges only, once each, and lists chains in
@@ -90,34 +90,43 @@ def _step_shapes(
     cannot complete the row to ``target``.  An all-zero ``floor`` asks
     nothing.  Results are in ascending lexicographic order.
 
-    Two caps from the content drop only shapes whose step has no
-    Littlewood-Richardson filling of content ``lam``.  A row gains at
-    most ``lam[0]`` cells: it is an increasing subsequence of a word that
-    rectifies to shape ``lam`` (Schensted, Greene), so for a one-column
-    content every step is a vertical strip.  For a one-row content every
-    step is a horizontal strip: row ``i`` ends no further right than the
-    step's inner boundary in row ``i - 1`` (see :func:`_step_inner`).
+    Two caps from the content drop only steps with no Littlewood-Richardson
+    filling of content ``lam``.  No row of the step holds more than
+    ``lam[0]`` cells: a row of the filling is an increasing subsequence of
+    a word that rectifies to shape ``lam`` (Schensted, Greene).  No column
+    holds more than ``len(lam)``: it strictly increases over ``1..len(lam)``.
+    So one-column contents step by vertical strips, one-row contents by
+    horizontal ones.
+
+    >>> _step_shapes((), 3, (2, 1), Staircase((3,), 5), (2, 2, 2), (0, 0, 0))
+    [(2, 1)]
     """
     m = len(target)
     nu = _pad(inner, m)
-    left_wall = a - staircase.alpha[0]
-    widest = lam[0] if lam else 0
-    # row i's new cells begin right of grid column start[i]; room[i] of
-    # them fit in the target and in a row of the content, none outside
-    # the first a rows or where the row starts left of the rectangle's edge
     start = [max(e, o) for e, o in zip(nu, staircase.offsets)]
-    room = [
-        min(max(target[i], s) - s, widest) if i < a and s >= left_wall else 0
-        for i, s in enumerate(start)
+    # rows from p on keep their inner ends: p is the first row past the
+    # first a, or the first that starts left of the rectangle's wall; the
+    # rows above the cut's block start left of it too, and the block's rows
+    # cannot end past row p, which ends left of it
+    left_wall = a - staircase.alpha[0]
+    p = next((i for i, s in enumerate(start[:a]) if s < left_wall), min(a, m))
+    if any(s < f for s, f in zip(start[p:], floor[p:])):
+        return []
+    # row i gains cells right of grid column start[i] up to top[i]: inside
+    # the target, at most lam[0] of them, and not past start[i - len(lam)],
+    # or a column would gain len(lam) + 1 cells
+    widest, tallest = (lam[0] if lam else 0), len(lam)
+    top = [
+        min(target[i], s + widest, start[i - tallest] if i >= tallest else target[i])
+        for i, s in enumerate(start[:p])
     ]
-    one_row = len(lam) <= 1
     # slack[i]: cells addable in rows i.., ignoring the weak-decrease coupling
-    slack = [0] * (m + 1)
-    for i in range(m - 1, -1, -1):
-        slack[i] = slack[i + 1] + room[i]
+    slack = [0] * (p + 1)
+    for i in range(p - 1, -1, -1):
+        slack[i] = slack[i + 1] + max(top[i] - start[i], 0)
 
     out: list[tuple[int, ...]] = []
-    current = [0] * m
+    current = list(nu)
     # depth first on an explicit stack of (row, row end, cells left); a
     # popped entry fixes current[row], and children are pushed largest
     # first, so shapes come out in ascending lexicographic order
@@ -126,23 +135,16 @@ def _step_shapes(
         i, prev, todo = stack.pop()
         if i >= 0:
             current[i] = prev
-            if one_row:
-                # a horizontal strip: no new cell below one of this row's
-                prev = min(prev, start[i])
         i += 1
         if todo > slack[i]:
             continue
-        if i == m:
-            emb = tuple(current)
-            while emb and emb[-1] == 0:
-                emb = emb[:-1]
-            out.append(emb)
+        if i == p:
+            out.append(tuple(current[: m - current.count(0)]))  # zeros only trail
             continue
-        # the row's end caps the next row's, so no cell grows below an
-        # empty row
+        # weak decrease: the row's end caps the next row's
         s = start[i]
-        low = max(1, floor[i] - s)
-        stack.extend((i, s + k, todo - k) for k in range(min(room[i], todo, prev - s), low - 1, -1))
+        ends = range(min(top[i], prev, s + todo), max(s, floor[i] - 1), -1)
+        stack.extend((i, e, todo + s - e) for e in ends)
         if s >= floor[i]:
             stack.append((i, nu[i], todo))
     return out
@@ -200,13 +202,14 @@ def _shape_graph(
 
     For each term, yields every inner shape reachable from the empty
     shape, mapped to its successors in ascending lexicographic order, each
-    with the Littlewood-Richardson multiplicity of its skew step.  For a
-    one-row or one-column content every proposed step is a horizontal or
-    vertical strip, with multiplicity 1 by Pieri's rule; any other content
-    takes one :func:`count_lr_tableaux` call per edge.  Successors that
-    cannot host the remaining steps, or whose step is wider than the
-    content allows, are never proposed; those whose multiplicity is 0 are
-    left out.
+    with the Littlewood-Richardson multiplicity of its skew step.
+    Successors that cannot host the remaining steps, or whose step has a
+    row longer than ``lam[0]`` or a column taller than ``len(lam)``, are
+    never proposed (see :func:`_step_shapes`).  For a one-row or
+    one-column content one cap is 1, so every step is a strip with
+    multiplicity 1 by Pieri's rule; any other content takes one
+    :func:`count_lr_tableaux` call per edge.  Edges of multiplicity 0
+    are left out.
     """
     cuts = [a for a, _ in terms]
     n, alpha0 = staircase.n, staircase.alpha[0]
@@ -222,8 +225,6 @@ def _shape_graph(
         # region is the row's offset, so there they ask nothing.  After the
         # last step (b = n) every row must reach the target.
         floor = [min(t, max(b, c) - alpha0) for t, c in zip(target, reach)]
-        # Pieri's rule: the strips proposed for a one-row or one-column
-        # content have exactly one filling each
         pieri = len(lam) <= 1 or lam[0] == 1
         edges: dict[tuple[int, ...], list[tuple[tuple[int, ...], int]]] = {}
         for inner in level:

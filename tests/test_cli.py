@@ -193,6 +193,13 @@ def test_alpha_flag_only_where_it_is_read(tmp_path, capsys):
         assert exc.value.code == 2, args
         assert "unrecognized arguments: --alpha" in capsys.readouterr().err
     assert run(["monk"], text=text, tmp_path=tmp_path)[:2] == (0, "chains=1 monk=1 OK\n")
+    # nor the file's alpha line, which makes count print 0 here
+    wider = "n = 4\nalpha = {1,2}\n2: 1\n2: 1\n2: 1\n2: 1\n"
+    for args in (["monk"], ["valley", "2413"]):
+        code, out, err = run(args, text=wider, tmp_path=tmp_path)
+        assert (code, out) == (2, ""), args
+        assert f"{args[0]} reads no cut set" in err and "alpha" in err, err
+    assert run(["count"], text=wider, tmp_path=tmp_path)[:2] == (0, "0\n")
 
 
 def test_alpha_from_file(tmp_path):

@@ -108,11 +108,11 @@ def test_enumerate_lists_only_live_edges(
         candidates[problem] = calls["proposed"]
         weighed[problem] = calls["count_lr_tableaux"]
         assert candidates[problem] >= len(live)
-    # the 18 problem has dead edges: 26 candidates, 21 of them live; only its
-    # 13 candidates of content (2, 2) or (2, 1) ask count_lr_tableaux, and
+    # the 18 problem has dead edges: 24 candidates, 21 of them live; only its
+    # 11 candidates of content (2, 2) or (2, 1) ask count_lr_tableaux, and
     # all-box problems never do
-    assert candidates[seven_term_problem] == 26
-    assert weighed[seven_term_problem] == 13
+    assert candidates[seven_term_problem] == 24
+    assert weighed[seven_term_problem] == 11
     assert weighed[six_box_problem] == weighed[thirteen_box_problem] == 0
 
 
@@ -176,12 +176,12 @@ def _new_cells(emb, inner, off):
 
 def _may_hold(cells, lam):
     """Whether the new cells pass the caps a content ``lam`` puts on a step:
-    no row longer than ``lam[0]`` (for ``lam[0] == 1``, a vertical strip:
-    no two cells in a row), and for a one-row content a horizontal strip
-    (no two cells in a column)."""
+    no row longer than ``lam[0]`` and no column taller than ``len(lam)``
+    (for a one-column content a vertical strip, for a one-row content a
+    horizontal strip)."""
     widest_row = max(Counter(r for r, _ in cells).values(), default=0)
     tallest_column = max(Counter(c for _, c in cells).values(), default=0)
-    return widest_row <= (lam[0] if lam else 0) and (len(lam) > 1 or tallest_column <= 1)
+    return widest_row <= (lam[0] if lam else 0) and tallest_column <= len(lam)
 
 
 def test_step_shapes_matches_brute_force():
@@ -249,9 +249,10 @@ def test_step_shapes_matches_brute_force():
 
 
 def test_step_caps_drop_only_zero_multiplicities():
-    # Pieri's rule and the row-width bound, against the LR backtracker: on
-    # every cut set with n <= 5, every inner shape and every content of each
-    # cut, a one-row or one-column step the stepper proposes has exactly one
+    # Pieri's rule and the two caps (no row of the step longer than lam[0],
+    # no column taller than len(lam)), against the LR backtracker: on every
+    # cut set with n <= 5, every inner shape and every content of each cut,
+    # a one-row or one-column step the stepper proposes has exactly one
     # filling, and a legal step it leaves out has none
     from lrflags.filtered import _step_shapes
     from lrflags.tableaux import count_lr_tableaux
@@ -286,7 +287,7 @@ def test_step_caps_drop_only_zero_multiplicities():
                                 elif len(lam) <= 1 or lam[0] == 1:
                                     assert mult == 1, (n, alpha, inner, a, lam, emb)
                                     proposed += 1
-    assert (proposed, dropped) == (1329, 264)
+    assert (proposed, dropped) == (1329, 296)
 
 
 def test_shape_graph_keeps_only_hostable_edges():
