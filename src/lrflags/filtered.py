@@ -23,7 +23,10 @@ row, the grid column of the last cell.  Counting and enumeration share
 one walk of the shape graph (``_shape_graph``), each edge carrying its
 Littlewood-Richardson multiplicity: 1 by Pieri's rule for a one-row or
 one-column content, whose steps the stepper's row and column caps leave
-as strips, and the cached count of the fillings otherwise.
+as strips, and the cached count of the fillings otherwise.  The stepper
+walks only the rows with room for a cell of the step: every other row
+keeps its inner end, so its floor is checked once, and a path ends as
+soon as its cells are placed.
 Counting folds the multiplicities into a dynamic program; enumeration
 trims the graph back to the edges that reach the target, lists the
 fillings of those live edges only, once each, and lists chains in
@@ -98,55 +101,93 @@ def _step_shapes(
     So one-column contents step by vertical strips, one-row contents by
     horizontal ones.
 
+    The walk visits only the rows with room for a cell.  Every other row
+    keeps its inner end, so its floor is checked once, before the walk.
+    A path ends as soon as its cells are placed: the rows below keep
+    their inner ends, and a suffix table says whether they meet their
+    floors.
+
     >>> _step_shapes((), 3, (2, 1), Staircase((3,), 5), (2, 2, 2), (0, 0, 0))
     [(2, 1)]
+
+    A single box goes to an addable corner; row 2 of ``(3, 3, 1)`` has no
+    room, so only rows 1 and 3 are walked:
+
+    >>> region = Staircase((3,), 7)
+    >>> _step_shapes((3, 3, 1), 3, (1,), region, (4, 4, 4), (0, 0, 0))
+    [(3, 3, 2), (4, 3, 1)]
     """
     m = len(target)
     nu = _pad(inner, m)
-    start = [max(e, o) for e, o in zip(nu, staircase.offsets)]
+    # max(end, offset): an empty row starts at its offset, and a nonempty
+    # one ends past it
+    start = [e or o for e, o in zip(nu, staircase.offsets)]
     # rows from p on keep their inner ends: p is the first row past the
     # first a, or the first that starts left of the rectangle's wall; the
     # rows above the cut's block start left of it too, and the block's rows
-    # cannot end past row p, which ends left of it
+    # cannot end past row p, which ends left of it.  Row i < p gains cells
+    # right of grid column start[i] up to its top: inside the target, at
+    # most lam[0] of them, and not past start[i - len(lam)], or a column
+    # would gain len(lam) + 1 cells.  Only the rows with room are walked;
+    # any other row meets its floor at its inner end or there is no shape.
     left_wall = a - staircase.alpha[0]
-    p = next((i for i, s in enumerate(start[:a]) if s < left_wall), min(a, m))
+    widest, tallest = (lam[0] if lam else 0), len(lam)
+    rows: list[int] = []
+    tops: list[int] = []
+    p = min(a, m)
+    for i, (s, top, f) in enumerate(zip(start[:p], target, floor)):
+        if s < left_wall:
+            p = i
+            break
+        if s + widest < top:
+            top = s + widest
+        if i >= tallest and start[i - tallest] < top:
+            top = start[i - tallest]
+        if top > s:
+            rows.append(i)
+            tops.append(top)
+        elif s < f:
+            return []
     if any(s < f for s, f in zip(start[p:], floor[p:])):
         return []
-    # row i gains cells right of grid column start[i] up to top[i]: inside
-    # the target, at most lam[0] of them, and not past start[i - len(lam)],
-    # or a column would gain len(lam) + 1 cells
-    widest, tallest = (lam[0] if lam else 0), len(lam)
-    top = [
-        min(target[i], s + widest, start[i - tallest] if i >= tallest else target[i])
-        for i, s in enumerate(start[:p])
-    ]
-    # slack[i]: cells addable in rows i.., ignoring the weak-decrease coupling
-    slack = [0] * (p + 1)
-    for i in range(p - 1, -1, -1):
-        slack[i] = slack[i + 1] + max(top[i] - start[i], 0)
+    # per walked row k: slack[k], the cells rows k.. can add, ignoring the
+    # weak-decrease coupling; kept[k], whether rows k.. all meet their
+    # floors at their inner ends
+    slack = [0] * (len(rows) + 1)
+    kept = [True] * (len(rows) + 1)
+    for k in range(len(rows) - 1, -1, -1):
+        i = rows[k]
+        slack[k] = slack[k + 1] + tops[k] - start[i]
+        kept[k] = kept[k + 1] and start[i] >= floor[i]
 
+    size = m - nu.count(0)  # zeros only trail
     out: list[tuple[int, ...]] = []
     current = list(nu)
-    # depth first on an explicit stack of (row, row end, cells left); a
-    # popped entry fixes current[row], and children are pushed largest
-    # first, so shapes come out in ascending lexicographic order
-    stack = [(-1, staircase.width, sum(lam))]
+    # depth first on an explicit stack of (walked row k, its end, cells
+    # left); a popped entry fixes current[rows[k]], and children are pushed
+    # largest first, so shapes come out in ascending lexicographic order
+    stack = [(-1, 0, sum(lam))]
     while stack:
-        i, prev, todo = stack.pop()
-        if i >= 0:
-            current[i] = prev
-        i += 1
-        if todo > slack[i]:
+        k, e, todo = stack.pop()
+        if k >= 0:
+            current[rows[k]] = e
+        k += 1
+        if not todo:
+            # the rows below the last one fixed keep their inner ends; the
+            # stale ends other paths left there are never read
+            if kept[k]:
+                j = rows[k - 1] + 1 if k else 0
+                out.append(tuple(current[:j]) + nu[j:size])
             continue
-        if i == p:
-            out.append(tuple(current[: m - current.count(0)]))  # zeros only trail
+        if todo > slack[k]:
             continue
-        # weak decrease: the row's end caps the next row's
+        i = rows[k]
         s = start[i]
-        ends = range(min(top[i], prev, s + todo), max(s, floor[i] - 1), -1)
-        stack.extend((i, e, todo + s - e) for e in ends)
+        above = current[i - 1] if i else staircase.width  # weak decrease
+        ends = range(min(tops[k], above, s + todo), max(s, floor[i] - 1), -1)
+        stack.extend((k, e, todo + s - e) for e in ends)
         if s >= floor[i]:
-            stack.append((i, nu[i], todo))
+            stack.append((k, nu[i], todo))
     return out
 
 

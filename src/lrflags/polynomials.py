@@ -124,9 +124,9 @@ class IntPolynomial:
             return self.__rmul__(other)
         self._check(other)
         nvars = self.nvars
-        base = 1 + max((max(e, default=0) for e in self._terms), default=0) + max(
-            (max(e, default=0) for e in other._terms), default=0
-        )
+        base = 1
+        if nvars:  # an empty exponent tuple has no max
+            base += max(map(max, self._terms), default=0) + max(map(max, other._terms), default=0)
         powers = [base**i for i in range(nvars)]
         right = [(sum(map(mul, e, powers)), c) for e, c in other._terms.items()]
         packed: dict[int, int] = {}

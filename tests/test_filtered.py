@@ -156,10 +156,40 @@ def _strip(rows):
     return tuple(rows)
 
 
-def _shapes_in(staircase, cap):
-    """Every embedded shape of the region with row ``i`` ending by ``cap[i]``."""
-    ends = [[0, *range(off + 1, top + 1)] for off, top in zip(staircase.offsets, cap)]
+def _shapes_in(staircase, cap, inner=()):
+    """Every embedded shape of the region containing ``inner``, with row
+    ``i`` ending by ``cap[i]``."""
+    nu = inner + (0,) * (len(cap) - len(inner))
+    ends = [
+        [0, *range(off + 1, top + 1)] if not v else range(v, top + 1)
+        for off, top, v in zip(staircase.offsets, cap, nu)
+    ]
     return [e for e in map(_strip, product(*ends)) if staircase.is_valid_embedded(e)]
+
+
+def _random_shape(rng, staircase, inner=()):
+    """A random embedded shape of the region containing ``inner``, each row
+    ending at the largest of three uniform draws, so that rows often end
+    where the row above does."""
+    nu = inner + (0,) * (staircase.num_rows - len(inner))
+    rows, prev = [], staircase.width
+    for off, v in zip(staircase.offsets, nu):
+        ends = ([] if v else [0]) + list(range(max(v, off + 1), prev + 1))
+        prev = max(rng.choice(ends) for _ in range(3))
+        rows.append(prev)
+    return _strip(rows)
+
+
+def _floors(alpha, n, target, a):
+    """No floor, then the floor of each next cut ``b``, as a problem's later
+    terms cover every cut from ``b`` on, and of the last step (no later
+    cut), each with its later cuts (None for no floor)."""
+    floors = [((0,) * len(target), None)]
+    for b in [c for c in alpha if c >= a] + [n]:
+        later = [c for c in alpha if c >= b]
+        floor = tuple(min([t] + [c - alpha[0] for c in later if c > i]) for i, t in enumerate(target))
+        floors.append((floor, later))
+    return floors
 
 
 def _contents(size):
@@ -219,17 +249,7 @@ def test_step_shapes_matches_brute_force():
                                     if e != v
                                 )
                             ]
-                            # no floor, then the floor of each next cut b, as a
-                            # problem's later terms cover every cut from b on,
-                            # and of the last step (no later cut)
-                            floors = [((0,) * len(target), None)]
-                            for b in [c for c in alpha if c >= a] + [n]:
-                                later = [c for c in alpha if c >= b]
-                                floor = tuple(
-                                    min([t] + [c - alpha[0] for c in later if c > i])
-                                    for i, t in enumerate(target)
-                                )
-                                floors.append((floor, later))
+                            floors = _floors(alpha, n, target, a)
                             for size in range(sum(staircase.extract(target)) + 1):
                                 for floor, later in floors:
                                     hosted = [
@@ -246,6 +266,44 @@ def test_step_shapes_matches_brute_force():
                                         assert got == want, (n, alpha, target, inner, a, lam, floor)
                                         calls += 1
     assert calls == 164490
+
+
+def test_step_shapes_matches_reference_on_taller_regions():
+    # the brute force above, on sampled shapes in regions with n = 6..8:
+    # there rows with room for a cell often sit between rows without, and
+    # a step's cells are often placed before its last row with room
+    from lrflags.filtered import _step_shapes
+
+    rng = random.Random(15)
+    calls = 0
+    for n in (6, 7, 8):
+        for _ in range(120):
+            alpha = tuple(sorted(rng.sample(range(1, n), rng.randint(1, n - 1))))
+            staircase = Staircase(alpha, n)
+            off = staircase.offsets
+            inner = _random_shape(rng, staircase)
+            target = _random_shape(rng, staircase, inner)
+            nu = inner + (0,) * (len(target) - len(inner))
+            # a step of at most 4 cells grows no row by more
+            cap = [min(t, max(v, o) + 4) for t, v, o in zip(target, nu, off)]
+            grown = [(_new_cells(emb, inner, off), emb) for emb in _shapes_in(staircase, cap, inner)]
+            for a in alpha:
+                legal = [(cells, emb) for cells, emb in grown if all(r < a and c > a - alpha[0] for r, c in cells)]
+                for floor, later in _floors(alpha, n, target, a):
+                    hosted = [
+                        (cells, emb)
+                        for cells, emb in legal
+                        if later is None or _hosted(emb, target, off, later, alpha[0])
+                    ]
+                    for size in range(1, 5):
+                        for lam in _contents(size):
+                            want = sorted(
+                                emb for cells, emb in hosted if len(cells) == size and _may_hold(cells, lam)
+                            )
+                            got = _step_shapes(inner, a, lam, staircase, target, floor)
+                            assert got == want, (n, alpha, target, inner, a, lam, floor)
+                            calls += 1
+    assert calls == 51984
 
 
 def test_step_caps_drop_only_zero_multiplicities():
