@@ -23,10 +23,12 @@ row, the grid column of the last cell.  Counting and enumeration share
 one walk of the shape graph (``_shape_graph``), each edge carrying its
 Littlewood-Richardson multiplicity: 1 by Pieri's rule for a one-row or
 one-column content, whose steps the stepper's row and column caps leave
-as strips, and the cached count of the fillings otherwise.  The stepper
-walks only the rows with room for a cell of the step: every other row
-keeps its inner end, so its floor is checked once, and a path ends as
-soon as its cells are placed.
+as strips, and the cached count of the fillings otherwise.  That count
+skips the backtracker when the dominance test of :mod:`lrflags.tableaux`
+proves it 0 (McNamara and van Willigenburg, 2009); the caps are that
+test's first partial sums.  The stepper walks only the rows with room
+for a cell of the step: every other row keeps its inner end, so its
+floor is checked once, and a path ends as soon as its cells are placed.
 Counting folds the multiplicities into a dynamic program; enumeration
 trims the graph back to the edges that reach the target, lists the
 fillings of those live edges only, once each, and lists chains in
@@ -91,7 +93,10 @@ def _step_shapes(
     inside ``target``.  Row ``i`` may end only at a grid column ``e`` with
     ``max(e, offset) >= floor[i]``: left of ``floor[i]`` the later steps
     cannot complete the row to ``target``.  An all-zero ``floor`` asks
-    nothing.  Results are in ascending lexicographic order.
+    nothing.  ``floor`` may stop short of ``target``, but not before row
+    ``min(a, len(target))``: the rows past its end ask nothing, which is
+    what a floor at most the row's offset asks.  Results are in ascending
+    lexicographic order.
 
     Two caps from the content drop only steps with no Littlewood-Richardson
     filling of content ``lam``.  No row of the step holds more than
@@ -121,7 +126,7 @@ def _step_shapes(
     nu = _pad(inner, m)
     # max(end, offset): an empty row starts at its offset, and a nonempty
     # one ends past it
-    start = [e or o for e, o in zip(nu, staircase.offsets)]
+    start = [e or o for e, o, _ in zip(nu, staircase.offsets, floor)]
     # rows from p on keep their inner ends: p is the first row past the
     # first a, or the first that starts left of the rectangle's wall; the
     # rows above the cut's block start left of it too, and the block's rows
@@ -266,6 +271,13 @@ def _shape_graph(
         # region is the row's offset, so there they ask nothing.  After the
         # last step (b = n) every row must reach the target.
         floor = [min(t, max(b, c) - alpha0) for t, c in zip(target, reach)]
+        # every row starts at or past its offset, so the rows past the last
+        # whose floor exceeds its offset ask nothing; the stepper still
+        # reads the floors of the rows it may walk, the first a
+        keep, walked = len(floor), min(a, len(target))
+        while keep > walked and floor[keep - 1] <= staircase.offsets[keep - 1]:
+            keep -= 1
+        del floor[keep:]
         pieri = len(lam) <= 1 or lam[0] == 1
         edges: dict[tuple[int, ...], list[tuple[tuple[int, ...], int]]] = {}
         for inner in level:

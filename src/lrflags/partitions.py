@@ -26,6 +26,7 @@ machinery downstream operates on embedded diagrams.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from operator import ge
 from typing import Iterable, Iterator
 
 __all__ = [
@@ -53,9 +54,9 @@ def normalize_partition(rows: Iterable[int]) -> tuple[int, ...]:
         parts = rows
     else:
         parts = tuple(int(r) for r in rows)
-    if any(r < 0 for r in parts):
+    if parts and min(parts) < 0:
         raise ValueError(f"partition rows must be non-negative: {parts}")
-    if any(parts[i] < parts[i + 1] for i in range(len(parts) - 1)):
+    if not all(map(ge, parts, parts[1:])):
         raise ValueError(f"partition rows must weakly decrease: {parts}")
     while parts and parts[-1] == 0:
         parts = parts[:-1]

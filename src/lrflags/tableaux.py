@@ -21,12 +21,21 @@ constant-time check per placed cell: no more ``v`` placed than ``v-1``
 in the rows above.  :func:`count_lr_tableaux` counts the backtracker's
 leaves and builds no tableau; each filling that
 :func:`enumerate_lr_tableaux` lists still passes :func:`is_lr_tableau`.
+
+Before it runs the backtracker, :func:`count_lr_tableaux` applies the
+dominance test: ``c^{outer/inner}_{lam} = 0`` unless the sorted row
+lengths of the skew shape are dominated by ``lam`` and its sorted column
+lengths by the conjugate of ``lam``, since the Schur support of a skew
+Schur function lies in that dominance interval (McNamara and van
+Willigenburg, *Towards a combinatorial classification of skew Schur
+functions*, 2009).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import accumulate
+from operator import lt, sub
 from typing import Iterable, Iterator, Sequence
 
 from .partitions import contains, normalize_partition
@@ -257,6 +266,41 @@ def enumerate_lr_tableaux(shape: SkewShape, lam: Iterable[int]) -> list[SkewTabl
     return results
 
 
+def _dominance_zero(outer: tuple[int, ...], inner: tuple[int, ...], lam: tuple[int, ...]) -> bool:
+    """Whether dominance alone shows ``c^{outer/inner}_{lam} = 0``.
+
+    The three partitions must be normalized, with ``inner`` inside
+    ``outer`` and ``|outer| - |inner| == |lam|``.  The coefficient is 0
+    unless the skew's row lengths, sorted, are dominated by ``lam`` (each
+    partial sum at most ``lam``'s) and its column lengths, sorted, by the
+    conjugate of ``lam``.  The first partial sums are the stepper's two
+    caps, row ``<= lam[0]`` and column ``<= len(lam)``.
+    """
+    if not lam:  # the empty skew shape, with its one empty filling
+        return False
+    widths = list(map(sub, outer, inner))
+    widths += outer[len(inner):]
+    widths.sort(reverse=True)
+    if any(map(lt, accumulate(lam), accumulate(widths))):
+        return True
+    # difference arrays over the columns: each row of the skew starts at
+    # its inner end and stops at its outer end, each row of lam starts at
+    # column 0; summing them gives the column lengths, summing again the
+    # partial sums
+    steps = [0] * (outer[0] + 1)
+    steps[0] = len(outer) - len(inner)
+    for c in inner:
+        steps[c] += 1
+    for c in outer:
+        steps[c] -= 1
+    heights = sorted(accumulate(steps), reverse=True)
+    cols = [0] * (lam[0] + 1)
+    cols[0] = len(lam)
+    for c in lam:
+        cols[c] -= 1
+    return any(map(lt, accumulate(accumulate(cols)), accumulate(heights)))
+
+
 _COUNT_CACHE_CAP = 1 << 16  # count_lr_tableaux clears its cache at this size
 _count_cache: dict[tuple[tuple[int, ...], tuple[int, ...], tuple[int, ...]], int] = {}
 
@@ -269,7 +313,14 @@ def count_lr_tableaux(
     It is the number of leaves of the backtracker that
     :func:`enumerate_lr_tableaux` lists, counted without building a
     tableau.  Each argument is normalized once per miss; ``inner`` not
-    inside ``outer`` raises ``ValueError``.
+    inside ``outer`` raises ``ValueError``.  A miss whose sizes match
+    runs the backtracker only if the dominance test (see the module
+    docstring; McNamara and van Willigenburg, 2009) leaves the
+    coefficient open.  Here the rows ``(2, 2)`` are dominated by
+    ``(3, 1)``, but the columns ``(2, 2)`` are not by ``(2, 1, 1)``:
+
+    >>> count_lr_tableaux((2, 2), (), (3, 1))
+    0
     """
     try:
         # only normalized keys are stored, so a hit needs no normalizing
@@ -283,7 +334,7 @@ def count_lr_tableaux(
         if len(_count_cache) >= _COUNT_CACHE_CAP:
             _count_cache.clear()
         leaves = 0
-        if sum(outer) - sum(inner) == sum(lam):
+        if sum(outer) - sum(inner) == sum(lam) and not _dominance_zero(outer, inner, lam):
             for _ in _lr_fillings(outer, inner, lam):
                 leaves += 1
         _count_cache[key] = leaves

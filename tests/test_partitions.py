@@ -26,6 +26,12 @@ def test_normalize_rejects_bad_input():
         normalize_partition((1, 2))
     with pytest.raises(ValueError):
         normalize_partition((2, -1))
+    # the sign check comes first, so rows that break both get its message
+    with pytest.raises(ValueError, match="non-negative: \\(3, -1, 2\\)"):
+        normalize_partition((3, -1, 2))
+    with pytest.raises(ValueError, match="weakly decrease"):
+        normalize_partition(r for r in (1, 2))
+    assert normalize_partition(r for r in (3, 1, 0)) == (3, 1)
 
 
 def test_contains_and_conjugate():

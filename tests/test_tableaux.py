@@ -196,6 +196,46 @@ def test_count_cache_stays_bounded(monkeypatch):
     assert all(key == tuple(map(normalize_partition, key)) for key in tableaux._count_cache)
 
 
+def test_invalid_input_raises_before_the_dominance_test(monkeypatch):
+    monkeypatch.setattr(tableaux, "_count_cache", {})
+    with pytest.raises(ValueError):
+        count_lr_tableaux((2,), (3,), ())
+    assert tableaux._count_cache == {}
+
+
+def test_dominance_test_drops_only_zero_coefficients(monkeypatch):
+    # the dominance test, against the LR backtracker: on every triple with
+    # outer, inner and content inside a 6 x 6 box and at most 9 cells in
+    # outer, a miss that skips the backtracker has no filling
+    fillings = tableaux._lr_fillings
+    runs = []
+
+    def counted(*args):
+        runs.append(args)
+        return fillings(*args)
+
+    monkeypatch.setattr(tableaux, "_lr_fillings", counted)
+    monkeypatch.setattr(tableaux, "_count_cache", {})
+    parts = [p for p in partitions_in_box(6, 6) if sum(p) <= 9]
+    triples = zeros = dropped = 0
+    for outer in parts:
+        for inner in parts:
+            if not contains(outer, inner):
+                continue
+            size = sum(outer) - sum(inner)
+            for lam in parts:
+                if sum(lam) != size:
+                    continue
+                before = len(runs)
+                count = count_lr_tableaux(outer, inner, lam)
+                if len(runs) == before:
+                    assert count == 0 and next(fillings(outer, inner, lam), None) is None, (outer, inner, lam)
+                    dropped += 1
+                triples += 1
+                zeros += count == 0
+    assert (triples, zeros, dropped) == (7349, 4913, 4755)
+
+
 # (outer, inner, content): steps shaped like the rule's, with middle rows
 # empty (wholly inside inner), rows inside inner at the top, disconnected
 # components and an inner with a trailing zero; then a size mismatch, the
