@@ -32,6 +32,7 @@ from .filtered import (
     intersection_number,
     valley_coefficient,
 )
+from .partitions import Shape, Staircase
 from .permutations import valley_from_permutation
 from .problems import ProblemError, SchubertProblem, validate_problem
 from .oracle import iterate_monk, oracle_intersection_number
@@ -196,10 +197,8 @@ def _cmd_enumerate(doc: ProblemDocument, args) -> int:
     holds the filling too, so its ``id`` cannot be reused meanwhile.
     """
     problem = doc.problem()
-    if validate_problem(problem, _cut_set(doc, args.alpha)) != problem.alpha:
-        print("count 0")  # a strictly wider cut set vanishes, as in count
-        return 0
-    tableaux = enumerate_filtered_tableaux(problem)
+    chosen = validate_problem(problem, _cut_set(doc, args.alpha))
+    tableaux = enumerate_filtered_tableaux(problem, Shape.full(Staircase(chosen, problem.n)))
     steps = [(i, a, {}) for i, (a, _) in enumerate(problem.terms, 1)]
     write = sys.stdout.write
     total = 0

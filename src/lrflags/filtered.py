@@ -367,14 +367,16 @@ def count_filtered_tableaux(problem: SchubertProblem, target: Shape | None = Non
 def intersection_number(
     problem: SchubertProblem, alpha: Sequence[int] | None = None
 ) -> int:
-    """Coefficient of the point class in the problem's Schubert product.
+    """Coefficient of the point class, counted in the full region of the
+    cut set :func:`validate_problem` chooses.  A strictly wider ``alpha``
+    has cells outside the problem's rectangles, which no step fills: 0.
 
-    With an explicit ``alpha`` strictly containing the problem's cut set
-    the coefficient vanishes; ``alpha`` missing some cut is an error.
+    >>> quad = SchubertProblem(4, ((2, (1,)),) * 4)
+    >>> intersection_number(quad), intersection_number(quad, alpha=(1, 2))
+    (2, 0)
     """
-    if validate_problem(problem, alpha) != problem.alpha:
-        return 0
-    return count_filtered_tableaux(problem)
+    chosen = validate_problem(problem, alpha)
+    return count_filtered_tableaux(problem, Shape.full(Staircase(chosen, problem.n)))
 
 
 def valley_coefficient(valley: ValleyPermutation, problem: SchubertProblem) -> int:
@@ -399,9 +401,9 @@ def count_monk_chains(problem: SchubertProblem) -> int:
     the intersection number.  Implemented as its own one-cell dynamic
     program, independent of the Littlewood-Richardson machinery.
     """
+    validate_problem(problem)
     if not problem.is_all_boxes():
         raise ProblemError("count_monk_chains requires every content to be a single box")
-    validate_problem(problem)
     staircase = problem.staircase
     target = _pad(staircase.embed(staircase.rows), staircase.num_rows)
     off = staircase.offsets

@@ -354,9 +354,9 @@ def iterate_monk(problem: SchubertProblem) -> int:
     and return the coefficient of the longest permutation with descents
     in ``alpha`` (the point class of the partial flag manifold).
     """
+    validate_problem(problem)
     if not problem.is_all_boxes():
         raise ProblemError("iterate_monk requires every content to be a single box")
-    validate_problem(problem)
     n = problem.n
     state: dict[tuple[int, ...], int] = {identity(n): 1}
     for a, _ in problem.terms:

@@ -10,8 +10,8 @@ staircase region and a flag manifold of dimension
 which equals the number of cells of the region.  The intersection-number
 question is well posed exactly when the total content size matches this
 dimension, and it vanishes on any strictly wider cut set.
-:func:`validate_problem` alone decides the cut set to compute on, its
-vanishing and the dimension condition.  Structural validity
+:func:`validate_problem` alone decides the cut set to compute on and the
+dimension condition; the rule and oracle compute the 0.  Structural validity
 (sortedness, rectangle containment) is enforced at construction so that
 coefficient computations against smaller target shapes, which do not
 need the dimension condition, can share the type.
@@ -115,13 +115,12 @@ def validate_problem(
 ) -> tuple[int, ...]:
     """Decide the cut set to compute on and return it, sorted.
 
-    This function alone decides the cut set, its vanishing and the
-    dimension condition.  ``alpha`` defaults to the problem's own cut
-    set; an explicit one must lie in ``1..n-1`` and contain every cut of
-    the problem.  On the problem's own cut set the total content size
-    must equal ``dim(alpha)``.  A strictly wider cut set skips that
-    condition: the intersection number vanishes there, so callers
-    compare the result with ``problem.alpha``.
+    This function alone decides the cut set and the dimension condition.
+    ``alpha`` defaults to the problem's own cut set; an explicit one must
+    lie in ``1..n-1`` and contain every cut of the problem.  On the
+    problem's own cut set the total content size must equal
+    ``dim(alpha)``.  A strictly wider cut set skips that condition: the
+    rule and the oracle each compute on it and get 0.
     """
     own = problem.alpha
     if alpha is None:

@@ -20,7 +20,7 @@ from conftest import all_contents, all_valid_problems, random_valid_problem
 
 from lrflags import cli
 from lrflags.permutations import all_valley_permutations, length
-from lrflags.partitions import partitions_in_box
+from lrflags.partitions import Shape, Staircase, partitions_in_box
 from lrflags.problems import SchubertProblem, refine_problem
 from lrflags.filtered import (
     count_monk_chains,
@@ -210,6 +210,7 @@ def test_criterion_7_structural_suites(tmp_path, six_box_problem, seven_term_pro
     assert intersection_number(quad, alpha=(1, 2)) == 0
     assert oracle_intersection_number(quad, alpha=(1, 2)) == 0
     assert intersection_number(quad, alpha=(1, 2, 3)) == 0
+    assert list(enumerate_filtered_tableaux(quad, Shape.full(Staircase((1, 2), 4)))) == []
 
     # (g) byte-identical output across --threads settings
     path = tmp_path / "p18.txt"

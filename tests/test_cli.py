@@ -447,6 +447,8 @@ def test_document_without_terms_exits_2(tmp_path):
     assert "no terms" in err
     code, _, err = run(["count"], text="n = 2\n", tmp_path=tmp_path)
     assert code == 2
+    code, out, err = run(["monk"], text="n = 4\n", tmp_path=tmp_path)
+    assert (code, out) == (2, "") and "no terms" in err
     for floor in ([], ["--floor", "1"]):
         code, out, err = run(["valley", "21"] + floor, text="n = 2\n", tmp_path=tmp_path)
         assert (code, out) == (2, "") and "no terms" in err, floor

@@ -490,6 +490,72 @@ def test_superset_alpha_vanishes():
     assert intersection_number(SchubertProblem(4, ()), alpha=(1, 2)) == 0
 
 
+def _strictly_wider(alpha, n):
+    rest = [c for c in range(1, n) if c not in alpha]
+    for k in range(1, len(rest) + 1):
+        for extra in combinations(rest, k):
+            yield tuple(sorted(set(alpha) | set(extra)))
+
+
+def test_rule_vanishes_on_every_wider_region():
+    # the rule itself gives the 0 of a strictly wider cut set: counted in
+    # that set's full region, every valid problem with n <= 5 has none
+    from conftest import all_valid_problems
+
+    pairs = 0
+    for n in range(2, 6):
+        for problem in all_valid_problems(n):
+            for wider in _strictly_wider(problem.alpha, n):
+                target = Shape.full(Staircase(wider, n))
+                assert count_filtered_tableaux(problem, target) == 0, (problem, wider)
+                pairs += 1
+    assert pairs == 10246
+
+
+def test_wider_region_of_equal_size_vanishes_on_every_route():
+    # one term per cut, total size equal to the dimension of a strictly
+    # wider cut set: the size test passes, so the 0 comes from the
+    # rectangles, and every route of the rule and the oracle must reach it
+    from lrflags.oracle import oracle_intersection_number
+    from lrflags.problems import dimension
+
+    pairs = 0
+    for n in range(3, 6):
+        for size in range(1, n):
+            for own in combinations(range(1, n), size):
+                boxes = [partitions_in_box(a, n - a) for a in own]
+                for lams in product(*boxes):
+                    problem = SchubertProblem(n, tuple(zip(own, lams)))
+                    for wider in _strictly_wider(own, n):
+                        if dimension(wider, n) != problem.total_size:
+                            continue
+                        target = Shape.full(Staircase(wider, n))
+                        assert count_filtered_tableaux(problem, target) == 0
+                        assert list(enumerate_filtered_tableaux(problem, target)) == []
+                        assert intersection_number(problem, wider) == 0
+                        assert oracle_intersection_number(problem, wider) == 0
+                        pairs += 1
+    assert pairs == 198
+
+
+def test_wider_cut_set_runs_the_rule(monkeypatch):
+    # intersection_number counts in the chosen set's region rather than
+    # returning 0 for a wider set itself
+    import lrflags.filtered as filtered
+
+    targets = []
+    original = filtered.count_filtered_tableaux
+
+    def recording(problem, target=None):
+        targets.append(target)
+        return original(problem, target)
+
+    monkeypatch.setattr(filtered, "count_filtered_tableaux", recording)
+    quad = SchubertProblem(4, tuple((2, (1,)) for _ in range(4)))
+    assert intersection_number(quad, alpha=(1, 2)) == 0
+    assert [t.staircase.alpha for t in targets] == [(1, 2)]
+
+
 def test_valley_coefficient_examples(six_box_problem):
     v = valley_from_permutation((2, 1), 1)
     assert valley_coefficient(v, SchubertProblem(2, ((1, (1,)),))) == 1
@@ -586,6 +652,12 @@ def test_validate_rejects_corrupted_tableaux(six_box_problem):
 def test_count_monk_chains_rejects_non_box(seven_term_problem):
     with pytest.raises(ProblemError):
         count_monk_chains(seven_term_problem)
+    # no terms is its own reason, not a non-box content, in both Monk routes
+    for monk in (count_monk_chains, iterate_monk):
+        with pytest.raises(ProblemError, match="no terms"):
+            monk(SchubertProblem(4, ()))
+        with pytest.raises(ProblemError, match="single box"):
+            monk(seven_term_problem)
 
 
 def test_single_box_smallest_case():

@@ -73,6 +73,27 @@ def test_cli_looks_up_enumeration_at_call_time(monkeypatch, tmp_path):
     assert out.getvalue().endswith("count 2\n")
 
 
+def test_cli_enumerates_in_the_wider_region(monkeypatch, tmp_path):
+    # enumerate --alpha with a strictly wider cut set runs the rule on that
+    # set's region, whose empty stream ends with count 0
+    import lrflags.cli as cli
+
+    targets = []
+    original = cli.enumerate_filtered_tableaux
+
+    def recording(problem, target=None):
+        targets.append(target)
+        return original(problem, target)
+
+    monkeypatch.setattr(cli, "enumerate_filtered_tableaux", recording)
+    path = tmp_path / "quad.txt"
+    path.write_text("n = 4\n2: 1\n2: 1\n2: 1\n2: 1\n")
+    with redirect_stdout(io.StringIO()) as out:
+        assert cli.main(["enumerate", "--alpha", "{1,2}", str(path)]) == 0
+    assert [t.staircase.alpha for t in targets] == [(1, 2)]
+    assert out.getvalue() == "count 0\n"
+
+
 def test_library_imports_only_what_it_uses():
     # an imported name must be used, or re-exported through __all__; the
     # one exception is a name the layer tracer patches on that module
