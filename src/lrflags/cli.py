@@ -258,7 +258,7 @@ def _parser() -> argparse.ArgumentParser:
     )
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--threads", type=int, default=1,
-                        help="reserved for performance tuning; no effect on output")
+                        help="accepted for interface compatibility; no effect on output")
     sub = parser.add_subparsers(dest="command", required=True)
     for name, fn in (("count", _cmd_count), ("enumerate", _cmd_enumerate),
                      ("verify", _cmd_verify), ("monk", _cmd_monk)):

@@ -23,7 +23,7 @@ row, the grid column of the last cell.  Counting and enumeration share
 one walk of the shape graph (``_shape_graph``), each edge carrying its
 Littlewood-Richardson multiplicity: 1 by Pieri's rule for a one-row or
 one-column content, whose steps the stepper's row and column caps leave
-as strips, and the cached count of the fillings otherwise.  That count
+as strips, and the count of the fillings otherwise.  That count
 skips the backtracker when the dominance test of :mod:`lrflags.tableaux`
 proves it 0 (McNamara and van Willigenburg, 2009); the caps are that
 test's first partial sums.  The stepper walks only the rows with room
@@ -67,15 +67,11 @@ def _step_inner(outer: tuple[int, ...], inner: tuple[int, ...], staircase: Stair
 
     Rows the inner shape leaves empty still start after their offset, so
     the boundary is ``max(inner, offset)`` per row, clipped to ``outer``;
-    for legal steps it is itself a partition.  Trailing zeros are dropped,
-    so the result is a normalized key of the count cache.
+    for legal steps it is itself a partition.
     """
     padded = _pad(inner, len(outer))
     off = staircase.offsets
-    bound = [min(outer[i], max(padded[i], off[i])) for i in range(len(outer))]
-    while bound and bound[-1] == 0:
-        bound.pop()
-    return tuple(bound)
+    return tuple(min(outer[i], max(padded[i], off[i])) for i in range(len(outer)))
 
 
 def _step_shapes(
@@ -304,7 +300,7 @@ def enumerate_filtered_tableaux(
     diagrams, then lexicographic per-step fillings.
 
     Walks the shape graph of :func:`count_filtered_tableaux`, each edge
-    carrying its cached multiplicity, and trims it back to the edges that
+    carrying its multiplicity, and trims it back to the edges that
     reach the target.  Only then are the fillings of each live edge
     listed, once; every tableau through the edge shares that list.  The
     chains are walked depth first on an explicit stack, so memory is
@@ -347,7 +343,7 @@ def count_filtered_tableaux(problem: SchubertProblem, target: Shape | None = Non
     """Number of filtered tableaux, by dynamic programming over shapes.
 
     Folds the same shape graph that :func:`enumerate_filtered_tableaux`
-    walks, each edge carrying its cached Littlewood-Richardson
+    walks, each edge carrying its Littlewood-Richardson
     multiplicity from :func:`count_lr_tableaux`.
     """
     if target is None:

@@ -88,6 +88,8 @@ class IntPolynomial:
         return hash((self.nvars, frozenset(self._terms.items())))
 
     def __add__(self, other: "IntPolynomial") -> "IntPolynomial":
+        if not isinstance(other, IntPolynomial):
+            return NotImplemented
         self._check(other)
         out = dict(self._terms)
         for exps, coeff in other._terms.items():
@@ -122,6 +124,8 @@ class IntPolynomial:
         """
         if isinstance(other, int):
             return self.__rmul__(other)
+        if not isinstance(other, IntPolynomial):
+            return NotImplemented
         self._check(other)
         nvars = self.nvars
         base = 1

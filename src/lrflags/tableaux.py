@@ -301,20 +301,16 @@ def _dominance_zero(outer: tuple[int, ...], inner: tuple[int, ...], lam: tuple[i
     return any(map(lt, accumulate(accumulate(cols)), accumulate(heights)))
 
 
-_COUNT_CACHE_CAP = 1 << 16  # count_lr_tableaux clears its cache at this size
-_count_cache: dict[tuple[tuple[int, ...], tuple[int, ...], tuple[int, ...]], int] = {}
-
-
 def count_lr_tableaux(
     outer: tuple[int, ...], inner: tuple[int, ...], lam: tuple[int, ...]
 ) -> int:
-    """The Littlewood-Richardson coefficient ``c^{outer/inner}_{lam}``, cached.
+    """The Littlewood-Richardson coefficient ``c^{outer/inner}_{lam}``.
 
     It is the number of leaves of the backtracker that
     :func:`enumerate_lr_tableaux` lists, counted without building a
-    tableau.  Each argument is normalized once per miss; ``inner`` not
-    inside ``outer`` raises ``ValueError``.  A miss whose sizes match
-    runs the backtracker only if the dominance test (see the module
+    tableau.  Each argument is normalized once; ``inner`` not inside
+    ``outer`` raises ``ValueError``.  When the sizes match, the
+    backtracker runs only if the dominance test (see the module
     docstring; McNamara and van Willigenburg, 2009) leaves the
     coefficient open.  Here the rows ``(2, 2)`` are dominated by
     ``(3, 1)``, but the columns ``(2, 2)`` are not by ``(2, 1, 1)``:
@@ -322,20 +318,8 @@ def count_lr_tableaux(
     >>> count_lr_tableaux((2, 2), (), (3, 1))
     0
     """
-    try:
-        # only normalized keys are stored, so a hit needs no normalizing
-        return _count_cache[outer, inner, lam]
-    except (KeyError, TypeError):  # a miss, or unhashable lists
-        pass
     outer, inner = _nested(outer, inner)
     lam = normalize_partition(lam)
-    key = (outer, inner, lam)
-    if key not in _count_cache:
-        if len(_count_cache) >= _COUNT_CACHE_CAP:
-            _count_cache.clear()
-        leaves = 0
-        if sum(outer) - sum(inner) == sum(lam) and not _dominance_zero(outer, inner, lam):
-            for _ in _lr_fillings(outer, inner, lam):
-                leaves += 1
-        _count_cache[key] = leaves
-    return _count_cache[key]
+    if sum(outer) - sum(inner) != sum(lam) or _dominance_zero(outer, inner, lam):
+        return 0
+    return sum(1 for _ in _lr_fillings(outer, inner, lam))

@@ -253,6 +253,43 @@ count 2
     assert out == expected
 
 
+def test_enumerate_empty_step_golden(tmp_path):
+    # an empty first step has no row to draw; a later one draws the rows of
+    # the shape so far, all dots
+    code, out, _ = run(["enumerate"], text="n = 3\n1: -\n1: 1\n1: 1\n2: 1\n", tmp_path=tmp_path)
+    assert code == 0
+    assert out == """tableau 1
+step 1 a=1
+step 2 a=1
+1
+step 3 a=1
+.1
+step 4 a=2
+..
+.1
+
+count 1
+"""
+    code, out, _ = run(["enumerate"], text="n = 3\n1: 1\n1: -\n1: 1\n2: 1\n2: -\n", tmp_path=tmp_path)
+    assert code == 0
+    assert out == """tableau 1
+step 1 a=1
+1
+step 2 a=1
+.
+step 3 a=1
+.1
+step 4 a=2
+..
+.1
+step 5 a=2
+..
+..
+
+count 1
+"""
+
+
 def test_enumerate_18_blocks(tmp_path):
     code, out, _ = run(["enumerate"], text=SEVEN_TERM_18, tmp_path=tmp_path)
     assert code == 0

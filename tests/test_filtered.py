@@ -53,8 +53,8 @@ def test_enumeration_is_lazy(six_box_problem):
 
 
 def test_enumerate_lists_each_edge_once(monkeypatch, six_box_problem, seven_term_problem):
-    # on a cold count cache, each step's fillings are listed once, not once
-    # for the multiplicity and again for the output
+    # each step's fillings are listed once, not once for the multiplicity
+    # and again for the output
     import lrflags.filtered
     import lrflags.tableaux
 
@@ -68,7 +68,6 @@ def test_enumerate_lists_each_edge_once(monkeypatch, six_box_problem, seven_term
             return original(shape, lam)
 
         with monkeypatch.context() as patch:
-            patch.setattr(lrflags.tableaux, "_count_cache", {})
             patch.setattr(lrflags.tableaux, "enumerate_lr_tableaux", recorder)
             patch.setattr(lrflags.filtered, "enumerate_lr_tableaux", recorder)
             assert list(enumerate_filtered_tableaux(problem)) == expected
@@ -114,27 +113,6 @@ def test_enumerate_lists_only_live_edges(
     assert candidates[seven_term_problem] == 24
     assert weighed[seven_term_problem] == 11
     assert weighed[six_box_problem] == weighed[thirteen_box_problem] == 0
-
-
-def test_step_inner_has_no_trailing_zeros(
-    monkeypatch, seven_term_problem, thirteen_box_problem, five_factor_problem
-):
-    # a trailing zero would make the count cache miss the key as given
-    import lrflags.filtered as filtered
-
-    original = filtered._step_inner
-    results = []
-
-    def recording(*args):
-        results.append(original(*args))
-        return results[-1]
-
-    monkeypatch.setattr(filtered, "_step_inner", recording)
-    for problem in (seven_term_problem, thirteen_box_problem, five_factor_problem):
-        count_filtered_tableaux(problem)
-        list(enumerate_filtered_tableaux(problem))
-    assert results and () in results
-    assert not [inner for inner in results if inner and inner[-1] == 0]
 
 
 def _hosted(emb, target, off, later, alpha0):

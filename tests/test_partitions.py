@@ -15,8 +15,8 @@ def test_normalize_strips_trailing_zeros():
     assert normalize_partition((3, 1, 0, 0)) == (3, 1)
     assert normalize_partition(()) == ()
     assert normalize_partition([2, 2]) == (2, 2)
-    # an already normalized tuple is returned as is, so cache keys and skew
-    # shapes share their caller's tuples
+    # an already normalized tuple is returned as is, so skew shapes share
+    # their caller's tuples
     rows = (3, 1)
     assert normalize_partition(rows) is rows
 

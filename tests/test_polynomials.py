@@ -137,3 +137,24 @@ def test_packed_product_edge_cases():
     assert ((a - b) * 3) == 3 * (a - b)
     assert ((a - b) * -(2**70)).terms() == {(1, 0, 0): -(2**70), (0, 1, 0): 2**70}
     assert (0 * (a - b)).is_zero and ((a - b) * 0).is_zero
+
+
+def test_foreign_operands_raise_type_error():
+    p = x(1, 2) + x(2, 2)
+    for foreign in (2.5, "x", None, [1]):
+        with pytest.raises(TypeError):
+            p * foreign
+        with pytest.raises(TypeError):
+            foreign * p
+        with pytest.raises(TypeError):
+            p + foreign
+        with pytest.raises(TypeError):
+            foreign + p
+    # an int adds to nothing; it only scales
+    with pytest.raises(TypeError):
+        p + 3
+    with pytest.raises(TypeError):
+        p - 3
+    with pytest.raises(TypeError):
+        3 + p
+    assert p * 2 == 2 * p == p + p

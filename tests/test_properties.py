@@ -2,11 +2,16 @@
 
 import random
 
-from conftest import all_valid_problems, nonzero_sample, random_valid_problem
+from conftest import (
+    all_valid_problems,
+    nonempty_partitions_in_box,
+    nonzero_sample,
+    random_valid_problem,
+)
 
 from lrflags.partitions import Staircase
 from lrflags.permutations import all_valley_permutations, identity, length
-from lrflags.problems import SchubertProblem, refine_problem
+from lrflags.problems import SchubertProblem, dimension, refine_problem
 from lrflags.filtered import (
     _pad,
     _step_shapes,
@@ -70,6 +75,72 @@ def test_refinement_invariance_random_n6():
         for b in range(1, 6):
             if b not in problem.alpha:
                 assert intersection_number(refine_problem(problem, b)) == base
+
+
+def _three_routes(problem):
+    """The rule's count, the oracle's, and the number of tableaux listed."""
+    return (
+        intersection_number(problem),
+        oracle_intersection_number(problem),
+        len(list(enumerate_filtered_tableaux(problem))),
+    )
+
+
+def test_empty_term_at_an_own_cut_changes_nothing():
+    # an empty content at a cut the problem already has is the class 1:
+    # every route keeps the original answer
+    pairs = 0
+    for n in (2, 3, 4):
+        for problem in all_valid_problems(n):
+            base = intersection_number(problem)
+            for a in problem.alpha:
+                k = [c for c, _ in problem.terms].index(a)
+                padded = SchubertProblem(n, problem.terms[:k] + ((a, ()),) + problem.terms[k:])
+                assert _three_routes(padded) == (base,) * 3, (problem, a)
+                pairs += 1
+    assert pairs == 405
+
+
+def _random_problem_with_empty_terms(rng, n):
+    """A random valid problem with at least one empty content.  A cut that
+    draws no carrier has only empty terms; empty terms fall anywhere among
+    their cut's terms."""
+    while True:
+        cuts = sorted(rng.sample(range(1, n), rng.randint(1, n - 1)))
+        carriers = [a for a in cuts if rng.random() < 0.85]
+        if not carriers:
+            continue
+        terms = [(a, ()) for a in cuts if a not in carriers or rng.random() < 0.3]
+        room = dimension(cuts, n)
+        for a in carriers + rng.choices(carriers, k=50):
+            fits = [lam for lam in nonempty_partitions_in_box(a, n - a) if sum(lam) <= room]
+            if fits:
+                lam = rng.choice(fits)
+                terms.append((a, lam))
+                room -= sum(lam)
+        rng.shuffle(terms)
+        problem = SchubertProblem(n, tuple(sorted(terms, key=lambda t: t[0])))
+        if not room and problem.alpha == tuple(cuts) and any(not lam for _, lam in terms):
+            return problem
+
+
+def test_empty_terms_agree_on_every_route():
+    # mixed empty and non-empty contents.  A cut carried by empty terms
+    # alone still widens the region, but the other steps fill only the
+    # union of their own rectangles, which has fewer cells: the answer is 0
+    rng = random.Random(306)
+    problems = carried_by_empty = nonzero = 0
+    for n in range(3, 7):
+        for _ in range(150):
+            problem = _random_problem_with_empty_terms(rng, n)
+            rule, oracle, listed = _three_routes(problem)
+            assert rule == oracle == listed, problem
+            problems += 1
+            nonzero += rule > 0
+            if any(not any(lam for c, lam in problem.terms if c == a) for a in problem.alpha):
+                assert rule == 0, problem
+                carried_by_empty += 1
+    assert (problems, carried_by_empty, nonzero) == (600, 261, 246)
 
 
 def test_box_specialization_chains_equal_rule():

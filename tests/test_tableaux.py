@@ -3,7 +3,7 @@ from itertools import combinations_with_replacement, product
 import pytest
 
 from lrflags import tableaux
-from lrflags.partitions import contains, normalize_partition, partitions_in_box
+from lrflags.partitions import contains, partitions_in_box
 from lrflags.tableaux import (
     SkewShape,
     SkewTableau,
@@ -175,32 +175,11 @@ def test_count_is_cached_len():
     assert count_lr_tableaux((2, 1), (), (2, 1)) == 1
 
 
-def test_count_cache_stays_bounded(monkeypatch):
-    monkeypatch.setattr(tableaux, "_COUNT_CACHE_CAP", 4)
-    monkeypatch.setattr(tableaux, "_count_cache", {})
-    outer = (3, 2, 1)
-    calls = [(inner, lam) for inner in ((3,), (2, 1), (1, 1, 1)) for lam in ((3,), (2, 1), (1, 1, 1))]
-    for _ in range(2):
-        for inner, lam in calls:
-            expected = len(brute_force_lr(SkewShape(outer, inner), lam))
-            assert count_lr_tableaux(outer, inner, lam) == expected, (inner, lam)
-            assert 0 < len(tableaux._count_cache) <= 4
-    # lists and trailing zeros are looked up under the normalized key
-    expected = len(brute_force_lr(SkewShape(outer, (2, 1)), (2, 1)))
-    for args in (([3, 2, 1], [2, 1], [2, 1]), ((3, 2, 1, 0), (2, 1, 0), (2, 1, 0, 0))):
-        assert count_lr_tableaux(*args) == expected, args
-    assert ((3, 2, 1), (2, 1), (2, 1)) in tableaux._count_cache
-    # invalid input is never cached and still raises
-    with pytest.raises(ValueError):
-        count_lr_tableaux((1, 2), (), (3,))
-    assert all(key == tuple(map(normalize_partition, key)) for key in tableaux._count_cache)
-
-
-def test_invalid_input_raises_before_the_dominance_test(monkeypatch):
-    monkeypatch.setattr(tableaux, "_count_cache", {})
+def test_invalid_input_raises_before_the_dominance_test():
     with pytest.raises(ValueError):
         count_lr_tableaux((2,), (3,), ())
-    assert tableaux._count_cache == {}
+    with pytest.raises(ValueError):
+        count_lr_tableaux((1, 2), (), (3,))
 
 
 def test_dominance_test_drops_only_zero_coefficients(monkeypatch):
@@ -215,7 +194,6 @@ def test_dominance_test_drops_only_zero_coefficients(monkeypatch):
         return fillings(*args)
 
     monkeypatch.setattr(tableaux, "_lr_fillings", counted)
-    monkeypatch.setattr(tableaux, "_count_cache", {})
     parts = [p for p in partitions_in_box(6, 6) if sum(p) <= 9]
     triples = zeros = dropped = 0
     for outer in parts:
@@ -259,8 +237,7 @@ PARITY_CASES = [
 ]
 
 
-def test_count_equals_listing_equals_brute_force(monkeypatch):
-    monkeypatch.setattr(tableaux, "_count_cache", {})
+def test_count_equals_listing_equals_brute_force():
     nonzero = 0
     for outer, inner, lam in PARITY_CASES:
         shape = SkewShape(outer, inner)
@@ -273,8 +250,7 @@ def test_count_equals_listing_equals_brute_force(monkeypatch):
     assert nonzero == len(PARITY_CASES) - 1
 
 
-def test_count_equals_listing_up_to_seven_boxes(monkeypatch):
-    monkeypatch.setattr(tableaux, "_count_cache", {})
+def test_count_equals_listing_up_to_seven_boxes():
     parts = [p for p in partitions_in_box(7, 7) if sum(p) <= 7]
     checked = 0
     for outer in parts:
@@ -299,13 +275,11 @@ def test_counting_builds_no_tableaux(monkeypatch):
             return _original(*args)
 
         monkeypatch.setattr(tableaux, name, counting)
-    monkeypatch.setattr(tableaux, "_count_cache", {})
     triples = [(o, i, l) for o, i, l in PARITY_CASES if isinstance(o, tuple)]
     triples += [((4, 3, 2, 1), (3, 2, 1), lam) for lam in ((4,), (2, 2), (2, 1, 1), (1, 1, 1, 1))]
-    misses = len({tuple(map(normalize_partition, t)) for t in triples})
-    assert sum(count_lr_tableaux(*t) for t in triples) > misses
+    assert sum(count_lr_tableaux(*t) for t in triples) > len(triples)
     assert calls["SkewTableau"] == calls["is_lr_tableau"] == 0
-    assert calls["normalize_partition"] <= 3 * misses
+    assert calls["normalize_partition"] <= 3 * len(triples)
     # listing still checks every filling it returns
     listed = enumerate_lr_tableaux(SkewShape((4, 3, 2, 1), (3, 2, 1)), (3, 1))
     assert calls["is_lr_tableau"] == len(listed) > 1
