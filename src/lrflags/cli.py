@@ -25,6 +25,8 @@ import functools
 import re
 import sys
 from dataclasses import dataclass
+from itertools import repeat
+from operator import mul
 
 from .filtered import (
     count_monk_chains,
@@ -123,11 +125,12 @@ def parse_problem(text: str) -> ProblemDocument:
 
 def _step_block(i: int, a: int, filling) -> list[str]:
     """The ``step i a=...`` line of one step, then its skew diagram."""
-    skew = filling.shape
-    lines = [f"step {i} a={a}"]
-    for r in range(1, len(skew.outer) + 1):
-        entries = "".join(str(v) for v in filling.rows[r - 1])
-        lines.append("." * skew.inner_row(r) + entries)
+    inner, rows = filling.shape.inner, filling.rows
+    # each row's dots, then the digits of its entries, if it has any
+    lines = [f"step {i} a={a}", *map(mul, repeat("."), inner), *repeat("", len(rows) - len(inner))]
+    for r, row in enumerate(rows, 1):
+        if row:
+            lines[r] += "".join(map(str, row))
     return lines
 
 

@@ -22,7 +22,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable
 
-from .partitions import Staircase, fits_in_rectangle, normalize_partition
+from .partitions import Staircase, normalize_partition
 
 __all__ = [
     "ProblemError",
@@ -84,7 +84,8 @@ class SchubertProblem:
                 )
             prev_a = a
             lam = normalize_partition(lam)
-            if not fits_in_rectangle(lam, a, self.n):
+            # fits_in_rectangle's test, on the partition normalized once
+            if len(lam) > a or (lam and lam[0] > self.n - a):
                 raise ProblemError(
                     f"rectangle containment violated: partition {lam or '()'} "
                     f"does not fit in {a} x {self.n - a}"

@@ -19,8 +19,11 @@ lexicographically by row-major entry sequence, the package's canonical
 order.  Rows weakly increase, so the ballot condition reduces to a
 constant-time check per placed cell: no more ``v`` placed than ``v-1``
 in the rows above.  :func:`count_lr_tableaux` counts the backtracker's
-leaves and builds no tableau; each filling that
-:func:`enumerate_lr_tableaux` lists still passes :func:`is_lr_tableau`.
+leaves and builds no tableau.  :func:`enumerate_lr_tableaux` lists a
+Pieri content (one row or one column), which has at most one filling,
+in closed form, and every other content through the backtracker; each
+filling it lists still passes :func:`is_lr_tableau`, one pass over the
+rows.
 
 Before it runs the backtracker, :func:`count_lr_tableaux` applies the
 dominance test: ``c^{outer/inner}_{lam} = 0`` unless the sorted row
@@ -35,7 +38,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import accumulate
-from operator import lt, sub
+from operator import ge, gt, lt, sub
 from typing import Iterable, Iterator, Sequence
 
 from .partitions import contains, normalize_partition
@@ -103,14 +106,14 @@ class SkewTableau:
     rows: tuple[tuple[int, ...], ...]
 
     def __post_init__(self) -> None:
-        rows = tuple(tuple(int(v) for v in row) for row in self.rows)
-        outer = self.shape.outer
+        rows = tuple(tuple(map(int, row)) for row in self.rows)
+        outer, inner = self.shape.outer, self.shape.inner
         if len(rows) != len(outer):
             raise ValueError("one entry row per shape row required")
-        for r in range(1, len(outer) + 1):
-            first, last = self.shape.row_span(r)
-            if len(rows[r - 1]) != last - first + 1:
-                raise ValueError(f"row {r} must have {last - first + 1} entries")
+        for r, (row, last) in enumerate(zip(rows, outer)):
+            width = last - inner[r] if r < len(inner) else last
+            if len(row) != width:
+                raise ValueError(f"row {r + 1} must have {width} entries")
         object.__setattr__(self, "rows", rows)
 
     def entry(self, r: int, c: int) -> int:
@@ -159,31 +162,37 @@ def is_lr_tableau(tableau: SkewTableau, lam: Iterable[int]) -> bool:
     """Whether ``tableau`` is a Littlewood-Richardson filling of content ``lam``.
 
     Total predicate: malformed content or entries simply give ``False``.
+    One pass over the rows checks (i) on slices and reads the word of
+    (ii) and (iii) into one list of counts.
     """
     try:
         lam = normalize_partition(lam)
     except ValueError:
         return False
-    shape = tableau.shape
-    if any(v < 1 for row in tableau.rows for v in row):
-        return False
-    # (i) rows weakly increase, columns strictly increase
-    for r in range(1, len(shape.outer) + 1):
-        row = tableau.rows[r - 1]
-        if any(row[i] > row[i + 1] for i in range(len(row) - 1)):
-            return False
-        if r == 1:
+    m, inner = len(lam), tableau.shape.inner
+    # counts[v]: entries v read; counts[0] binds only past the content's size
+    counts = [sum(lam) + 1] + [0] * m
+    above: tuple[int, ...] = ()
+    above_first = 0
+    for r, row in enumerate(tableau.rows):
+        if not row:
+            above = ()
             continue
-        first, last = shape.row_span(r)
-        up_first, up_last = shape.row_span(r - 1)
-        for c in range(max(first, up_first), min(last, up_last) + 1):
-            if tableau.entry(r - 1, c) >= tableau.entry(r, c):
+        first = inner[r] if r < len(inner) else 0
+        # (i) rows weakly increase; inner is a partition, so the columns
+        # this row shares with the row above are the above row's first
+        # columns, and there entries strictly increase
+        if any(map(gt, row, row[1:])) or any(map(ge, above, row[above_first - first:])):
+            return False
+        # (ii) and (iii): entries 1..m only, read right to left, ballot
+        for v in reversed(row):
+            if not 0 < v <= m:
                 return False
-    # (ii) content
-    if tableau.content() != lam:
-        return False
-    # (iii) ballot reading word
-    return is_ballot(tableau.reading_word())
+            counts[v] += 1
+            if counts[v] > counts[v - 1]:
+                return False
+        above, above_first = row, first
+    return counts[1:] == list(lam)
 
 
 def _lr_fillings(
@@ -251,14 +260,30 @@ def enumerate_lr_tableaux(shape: SkewShape, lam: Iterable[int]) -> list[SkewTabl
     its length is the coefficient ``c^{shape}_{lam}``.  A size mismatch
     yields the empty list; the empty shape with empty content yields the
     single empty filling.
+
+    A Pieri content has at most one filling, listed in closed form: a
+    one-row content ``(k,)`` fills a horizontal strip (no two cells in a
+    column) with 1s, and a one-column content ``(1,) * k`` fills a
+    vertical strip (no two cells in a row) with ``1..k`` from the top
+    down.  :func:`_lr_fillings` lists every other content.  Each filling
+    still passes :func:`is_lr_tableau` before it is listed.
     """
     lam = normalize_partition(lam)
     if shape.size != sum(lam):
         return []
-    widths = (shape.outer[r - 1] - shape.inner_row(r) for r in range(1, len(shape.outer) + 1))
+    outer = shape.outer
+    starts = shape.inner + (0,) * (len(outer) - len(shape.inner))
+    widths = list(map(sub, outer, starts))
+    fillings: Iterable[list[int]]
+    if len(lam) == 1:
+        fillings = [[1] * lam[0]] if all(map(ge, starts, outer[1:])) else []
+    elif lam and lam[0] == 1:
+        fillings = [list(range(1, len(lam) + 1))] if max(widths) <= 1 else []
+    else:
+        fillings = _lr_fillings(outer, shape.inner, lam)
     ends = list(accumulate(widths, initial=0))
     results: list[SkewTableau] = []
-    for val in _lr_fillings(shape.outer, shape.inner, lam):
+    for val in fillings:
         candidate = SkewTableau(shape, tuple(tuple(val[a:b]) for a, b in zip(ends, ends[1:])))
         # final acceptance goes through the public predicate
         if is_lr_tableau(candidate, lam):

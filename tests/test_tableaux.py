@@ -1,9 +1,10 @@
+import random
 from itertools import combinations_with_replacement, product
 
 import pytest
 
 from lrflags import tableaux
-from lrflags.partitions import contains, partitions_in_box
+from lrflags.partitions import contains, normalize_partition, partitions_in_box
 from lrflags.tableaux import (
     SkewShape,
     SkewTableau,
@@ -302,3 +303,91 @@ def test_lr_symmetric_sum_in_box():
                     if contains(nu, lam):
                         total_ml += count_lr_tableaux(nu, lam, mu)
             assert total_lm == total_ml, (lam, mu)
+
+
+def test_pieri_listing_matches_the_backtracker():
+    # a one-row or one-column content is listed in closed form; on every
+    # skew shape with outer in a 6 x 6 box of at most 10 cells and 1..8
+    # skew cells, that listing is the backtracker's, cut into rows
+    parts = [p for p in partitions_in_box(6, 6) if sum(p) <= 10]
+    shapes = pairs = strips = 0
+    for outer in parts:
+        for inner in parts:
+            k = sum(outer) - sum(inner)
+            if not (contains(outer, inner) and 1 <= k <= 8):
+                continue
+            shape = SkewShape(outer, inner)
+            widths = [o - i for o, i in zip(outer, inner + (0,) * len(outer))]
+            shapes += 1
+            for lam in ((k,), (1,) * k):
+                expected = []
+                for val in tableaux._lr_fillings(outer, inner, lam):
+                    rows, start = [], 0
+                    for w in widths:
+                        rows.append(tuple(val[start:start + w]))
+                        start += w
+                    expected.append(tuple(rows))
+                listed = [t.rows for t in enumerate_lr_tableaux(shape, lam)]
+                assert listed == expected, (outer, inner, lam)
+                pairs += 1
+                strips += len(listed)
+    assert (shapes, pairs, strips) == (2159, 4318, 1662)
+
+
+def reference_is_lr_tableau(tableau: SkewTableau, lam) -> bool:
+    """The per-cell definition of an LR filling, through the public accessors."""
+    try:
+        lam = normalize_partition(lam)
+    except ValueError:
+        return False
+    shape = tableau.shape
+    if any(v < 1 for row in tableau.rows for v in row):
+        return False
+    for r in range(1, len(shape.outer) + 1):
+        row = tableau.rows[r - 1]
+        if any(row[i] > row[i + 1] for i in range(len(row) - 1)):
+            return False
+        if r == 1:
+            continue
+        first, last = shape.row_span(r)
+        up_first, up_last = shape.row_span(r - 1)
+        for c in range(max(first, up_first), min(last, up_last) + 1):
+            if tableau.entry(r - 1, c) >= tableau.entry(r, c):
+                return False
+    if tableau.content() != lam:
+        return False
+    return is_ballot(tableau.reading_word())
+
+
+# valid contents, then malformed ones: not decreasing, negative, a
+# trailing zero in a list, not integers, and the empty content
+CHECKED_CONTENTS = [
+    (1,), (2,), (1, 1), (3,), (2, 1), (1, 1, 1), (2, 2), (3, 1), (2, 1, 1), (3, 2, 1), (4, 2),
+    (1, 2), (-1,), [2, 1, 0], "ab", (),
+]
+
+
+def test_is_lr_tableau_agrees_with_the_per_cell_definition():
+    rng = random.Random(19)
+    parts = list(partitions_in_box(4, 4))
+    shapes = verdicts = true = 0
+    for outer in parts:
+        for inner in parts:
+            if not (contains(outer, inner) and sum(outer) - sum(inner) <= 6):
+                continue
+            shape = SkewShape(outer, inner)
+            shapes += 1
+            for _ in range(3):
+                rows = []
+                for o, i in zip(outer, inner + (0,) * len(outer)):
+                    row = [rng.randint(0, 4) for _ in range(o - i)]
+                    rows.append(sorted(row) if rng.random() < 0.8 else row)
+                filling = SkewTableau(shape, rows)
+                word = filling.entry_sequence()
+                own = tuple(word.count(v) for v in range(1, max(word, default=0) + 1))
+                for lam in [own, tuple(sorted(own, reverse=True))] + CHECKED_CONTENTS:
+                    verdict = is_lr_tableau(filling, lam)
+                    assert verdict == reference_is_lr_tableau(filling, lam), (outer, inner, rows, lam)
+                    verdicts += 1
+                    true += verdict
+    assert (shapes, verdicts, true) == (1306, 70524, 1041)
