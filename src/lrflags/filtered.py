@@ -86,13 +86,11 @@ def _step_shapes(
 
     The step adds ``sum(lam)`` cells for content ``lam``, all within rows
     ``1..a`` and strictly right of grid column ``a - min(alpha)``, staying
-    inside ``target``.  Row ``i`` may end only at a grid column ``e`` with
-    ``max(e, offset) >= floor[i]``: left of ``floor[i]`` the later steps
-    cannot complete the row to ``target``.  An all-zero ``floor`` asks
-    nothing.  ``floor`` may stop short of ``target``, but not before row
-    ``min(a, len(target))``: the rows past its end ask nothing, which is
-    what a floor at most the row's offset asks.  Results are in ascending
-    lexicographic order.
+    inside ``target``.  ``floor`` has one entry per target row.  Row ``i``
+    may end only at a grid column ``e`` with ``max(e, offset) >= floor[i]``:
+    left of ``floor[i]`` the later steps cannot complete the row to
+    ``target``.  An all-zero ``floor`` asks nothing.  Results are in
+    ascending lexicographic order.
 
     Two caps from the content drop only steps with no Littlewood-Richardson
     filling of content ``lam``.  No row of the step holds more than
@@ -122,7 +120,7 @@ def _step_shapes(
     nu = _pad(inner, m)
     # max(end, offset): an empty row starts at its offset, and a nonempty
     # one ends past it
-    start = [e or o for e, o, _ in zip(nu, staircase.offsets, floor)]
+    start = [e or o for e, o in zip(nu, staircase.offsets)]
     # rows from p on keep their inner ends: p is the first row past the
     # first a, or the first that starts left of the rectangle's wall; the
     # rows above the cut's block start left of it too, and the block's rows
@@ -219,8 +217,9 @@ class FilteredTableau:
                 raise ValueError(f"level {level} is not a shape in the region")
         for i, (a, lam) in enumerate(self.terms):
             inner, outer = self.chain[i], self.chain[i + 1]
-            pad_in = _pad(inner, len(outer))
-            for r0, (e_in, e_out) in enumerate(zip(pad_in, outer)):
+            # pad both sides, so a row that outer drops reads as a decrease
+            rows = max(len(inner), len(outer))
+            for r0, (e_in, e_out) in enumerate(zip(_pad(inner, rows), _pad(outer, rows))):
                 if e_in > e_out:
                     raise ValueError(f"chain not increasing at step {i + 1}")
                 if e_in < e_out:
@@ -255,25 +254,21 @@ def _shape_graph(
     """
     cuts = [a for a, _ in terms]
     n, alpha0 = staircase.n, staircase.alpha[0]
+    distinct = set(cuts)
     # reach[r]: the least cut whose rectangle meets row r, n past the last
-    reach = [min((c for c in set(cuts) if c > r), default=n) for r in range(len(target))]
+    reach = [min((c for c in distinct if c > r), default=n) for r in range(len(target))]
+    # a target cell a step leaves empty in row r must fit a later step: one
+    # at a cut c >= max(b, r + 1), b the next cut, whose left wall
+    # c - min(alpha) lies left of the cell.  Walls move right as cuts grow,
+    # so the least such cut binds: b for every row r < b.  Rows r >= b meet
+    # their reach, whose wall in the problem's own region is the row's
+    # offset, so there they ask nothing.  After the last step (b = n) every
+    # row must reach the target.  So a floor depends on b alone.
+    nexts = cuts[1:] + [n]
+    floors = {b: [min(t, max(b, c) - alpha0) for t, c in zip(target, reach)] for b in set(nexts)}
     level = [()]
-    for (a, lam), b in zip(terms, cuts[1:] + [n]):
-        # a target cell this step leaves empty in row r must fit a later
-        # step: one at a cut c >= max(b, r + 1), b the next cut, whose left
-        # wall c - min(alpha) lies left of the cell.  Walls move right as
-        # cuts grow, so the least such cut binds: b for every row r < b.
-        # Rows r >= b meet their reach, whose wall in the problem's own
-        # region is the row's offset, so there they ask nothing.  After the
-        # last step (b = n) every row must reach the target.
-        floor = [min(t, max(b, c) - alpha0) for t, c in zip(target, reach)]
-        # every row starts at or past its offset, so the rows past the last
-        # whose floor exceeds its offset ask nothing; the stepper still
-        # reads the floors of the rows it may walk, the first a
-        keep, walked = len(floor), min(a, len(target))
-        while keep > walked and floor[keep - 1] <= staircase.offsets[keep - 1]:
-            keep -= 1
-        del floor[keep:]
+    for (a, lam), b in zip(terms, nexts):
+        floor = floors[b]
         pieri = len(lam) <= 1 or lam[0] == 1
         edges: dict[tuple[int, ...], list[tuple[tuple[int, ...], int]]] = {}
         for inner in level:

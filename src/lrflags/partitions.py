@@ -26,7 +26,7 @@ machinery downstream operates on embedded diagrams.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from operator import ge
+from operator import ge, index
 from typing import Iterable, Iterator
 
 __all__ = [
@@ -38,6 +38,21 @@ __all__ = [
     "Staircase",
     "Shape",
 ]
+
+
+def as_int(value: object, error: type[ValueError] = ValueError) -> int:
+    """``value`` as an ``int`` by ``operator.index``, so ``2.7`` or ``"2"``
+    raises ``error`` naming it rather than truncating or parsing.
+
+    >>> as_int(2.7)
+    Traceback (most recent call last):
+    ...
+    ValueError: 2.7 is not an integer
+    """
+    try:
+        return index(value)
+    except TypeError:
+        raise error(f"{value!r} is not an integer") from None
 
 
 def normalize_partition(rows: Iterable[int]) -> tuple[int, ...]:
@@ -53,7 +68,7 @@ def normalize_partition(rows: Iterable[int]) -> tuple[int, ...]:
     if type(rows) is tuple and all(type(r) is int for r in rows):
         parts = rows
     else:
-        parts = tuple(int(r) for r in rows)
+        parts = tuple(map(as_int, rows))
     if parts and min(parts) < 0:
         raise ValueError(f"partition rows must be non-negative: {parts}")
     if not all(map(ge, parts, parts[1:])):
@@ -133,7 +148,8 @@ class Staircase:
     n: int
 
     def __post_init__(self) -> None:
-        alpha = tuple(sorted(set(int(a) for a in self.alpha)))
+        object.__setattr__(self, "n", as_int(self.n))
+        alpha = tuple(sorted(set(map(as_int, self.alpha))))
         if not alpha:
             raise ValueError("alpha must be a non-empty set of cut positions")
         if alpha[0] < 1 or alpha[-1] > self.n - 1:

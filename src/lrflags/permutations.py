@@ -19,7 +19,7 @@ import itertools
 from dataclasses import dataclass
 from typing import Iterable, Iterator, Sequence
 
-from .partitions import fits_in_rectangle, normalize_partition
+from .partitions import as_int, fits_in_rectangle, normalize_partition
 
 __all__ = [
     "check_permutation",
@@ -43,7 +43,7 @@ __all__ = [
 
 def check_permutation(word: Sequence[int]) -> tuple[int, ...]:
     """Validate and return ``word`` as a permutation of ``{1, ..., n}``."""
-    w = tuple(int(v) for v in word)
+    w = tuple(map(as_int, word))
     if sorted(w) != list(range(1, len(w) + 1)):
         raise ValueError(f"{w} is not a permutation of 1..{len(w)}")
     return w

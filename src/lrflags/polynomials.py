@@ -7,7 +7,7 @@ size.  Zero coefficients are never stored.
 
 from __future__ import annotations
 
-from operator import mul
+from operator import index, mul
 from typing import Iterable, Mapping
 
 __all__ = ["IntPolynomial"]
@@ -23,12 +23,14 @@ class IntPolynomial:
         self._terms: dict[tuple[int, ...], int] = {}
         if terms:
             for exps, coeff in terms.items():
+                # index, not int: 0.5 raises rather than storing a 0
+                exps, coeff = tuple(map(index, exps)), index(coeff)
                 if coeff:
                     if len(exps) != nvars:
                         raise ValueError(f"exponent tuple {exps} has wrong arity")
                     if min(exps, default=0) < 0:
                         raise ValueError(f"exponent tuple {exps} has a negative exponent")
-                    self._terms[tuple(exps)] = int(coeff)
+                    self._terms[exps] = coeff
 
     @classmethod
     def _wrap(cls, nvars: int, terms: dict[tuple[int, ...], int]) -> "IntPolynomial":

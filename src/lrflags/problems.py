@@ -22,7 +22,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable
 
-from .partitions import Staircase, normalize_partition
+from .partitions import Staircase, as_int, normalize_partition
 
 __all__ = [
     "ProblemError",
@@ -70,12 +70,13 @@ class SchubertProblem:
     terms: tuple[tuple[int, tuple[int, ...]], ...]
 
     def __post_init__(self) -> None:
+        object.__setattr__(self, "n", as_int(self.n, ProblemError))
         if self.n < 2:
             raise ProblemError(f"ambient dimension n={self.n} must be at least 2")
         cleaned = []
         prev_a = 0
         for a, lam in self.terms:
-            a = int(a)
+            a = as_int(a, ProblemError)
             if not 1 <= a <= self.n - 1:
                 raise ProblemError(f"cut position {a} out of range 1..{self.n - 1}")
             if a < prev_a:
@@ -129,7 +130,7 @@ def validate_problem(
             raise ProblemError("problem has no terms, so alpha is empty")
         chosen = own
     else:
-        chosen = tuple(sorted({int(a) for a in alpha}))
+        chosen = tuple(sorted({as_int(a, ProblemError) for a in alpha}))
     want = dimension(chosen, problem.n)
     if not set(chosen) >= set(own):
         raise ProblemError(

@@ -41,7 +41,7 @@ from itertools import accumulate
 from operator import ge, gt, lt, sub
 from typing import Iterable, Iterator, Sequence
 
-from .partitions import contains, normalize_partition
+from .partitions import as_int, contains, normalize_partition
 
 __all__ = [
     "SkewShape",
@@ -106,7 +106,7 @@ class SkewTableau:
     rows: tuple[tuple[int, ...], ...]
 
     def __post_init__(self) -> None:
-        rows = tuple(tuple(map(int, row)) for row in self.rows)
+        rows = tuple(tuple(map(as_int, row)) for row in self.rows)
         outer, inner = self.shape.outer, self.shape.inner
         if len(rows) != len(outer):
             raise ValueError("one entry row per shape row required")

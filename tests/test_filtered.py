@@ -1,3 +1,4 @@
+import hashlib
 import random
 from collections import Counter
 from itertools import combinations, product
@@ -326,19 +327,15 @@ def test_step_caps_drop_only_zero_multiplicities():
     assert (proposed, dropped) == (1329, 296)
 
 
-def test_shape_graph_keeps_only_hostable_edges():
-    # against a valley target the region is the full staircase, whose rows
-    # outnumber the problem's cuts; every kept edge must still leave each
-    # missing target cell to a later step of the problem
-    from lrflags.filtered import _shape_graph
-
-    rng = random.Random(11)
-    edges = 0
+def _valley_graphs(seed, per_valley):
+    """``(terms, region, target)`` for every valley target with n = 4..6 in
+    the full staircase, ``per_valley`` seeded random term lists each."""
+    rng = random.Random(seed)
     for n in (4, 5, 6):
         full = Staircase(tuple(range(1, n)), n)
         for valley in all_valley_permutations(n):
             target = Shape(valley.mu, full).embedded
-            for _ in range(4):
+            for _ in range(per_valley):
                 cuts = sorted(rng.sample(range(1, n), rng.randint(1, n - 1)))
                 terms, left = [], sum(valley.mu)
                 while left:
@@ -347,11 +344,49 @@ def test_shape_graph_keeps_only_hostable_edges():
                     terms.append((a, lam))
                     left -= sum(lam)
                 terms.sort(key=lambda term: term[0])
-                for k, step in enumerate(_shape_graph(terms, full, target)):
-                    for outer, _ in (edge for succ in step.values() for edge in succ):
-                        assert _hosted(outer, target, full.offsets, [a for a, _ in terms[k + 1 :]], 1)
-                        edges += 1
+                yield terms, full, target
+
+
+def test_shape_graph_keeps_only_hostable_edges():
+    # against a valley target the region is the full staircase, whose rows
+    # outnumber the problem's cuts; every kept edge must still leave each
+    # missing target cell to a later step of the problem
+    from lrflags.filtered import _shape_graph
+
+    edges = 0
+    for terms, full, target in _valley_graphs(11, 4):
+        for k, step in enumerate(_shape_graph(terms, full, target)):
+            for outer, _ in (edge for succ in step.values() for edge in succ):
+                assert _hosted(outer, target, full.offsets, [a for a, _ in terms[k + 1 :]], 1)
+                edges += 1
     assert edges == 106
+
+
+def test_shape_graph_digest_is_pinned(seven_term_problem, thirteen_box_problem, five_factor_problem):
+    # every level of the shape graph (each inner shape with its successors
+    # and their multiplicities, in order) hashed over fixed problems: a
+    # change to the stepper, its floors or the LR multiplicities that moves,
+    # adds, drops or reorders any edge changes the digest
+    from lrflags.filtered import _shape_graph
+
+    full20 = SchubertProblem(20, tuple((a, (1,)) for a in range(1, 20) for _ in range(20 - a)))
+    gr36 = SchubertProblem(6, ((3, (1,)),) * 9)
+    graphs = [
+        (p.terms, p.staircase, Shape.full(p.staircase).embedded)
+        for p in (seven_term_problem, thirteen_box_problem, five_factor_problem, gr36, full20)
+    ]
+    wider = Staircase((1, 2), 4)
+    graphs.append((((2, (1,)),) * 4, wider, Shape.full(wider).embedded))
+    graphs += _valley_graphs(20, 3)
+    digest, levels, edges = hashlib.sha256(), 0, 0
+    for terms, region, target in graphs:
+        digest.update(repr((terms, region, target)).encode())
+        for step in _shape_graph(terms, region, target):
+            digest.update(repr(list(step.items())).encode())
+            levels += 1
+            edges += sum(map(len, step.values()))
+    assert (len(graphs), levels, edges) == (333, 1100, 363)
+    assert digest.hexdigest() == "2a7732bd08d5ff83d2bc9276b4867af0270fa34d4f6c521f92e365f56aa9d7e3"
 
 
 def test_count_matches_enumeration(six_box_problem, seven_term_problem, five_factor_problem):
@@ -624,6 +659,21 @@ def test_validate_rejects_corrupted_tableaux(six_box_problem):
     bad_fillings = ft.fillings[:2] + (SkewTableau(filling.shape, rows),) + ft.fillings[3:]
     broken = dataclasses.replace(ft, fillings=bad_fillings)
     with pytest.raises(ValueError):
+        broken.validate()
+    # a last step from (2, 2) to (2,) loses a row; its empty filling sits on
+    # the skew shape the step's first row leaves, so only the chain test
+    # can catch it
+    ft = next(enumerate_filtered_tableaux(SchubertProblem(3, ((1, (1,)), (1, (1,)), (2, (1,))))))
+    assert ft.chain[-1] == (2, 2)
+    from lrflags.tableaux import SkewShape
+
+    broken = dataclasses.replace(
+        ft,
+        terms=ft.terms + ((2, ()),),
+        chain=ft.chain + ((2,),),
+        fillings=ft.fillings + (SkewTableau(SkewShape((2,), (2,)), ((),)),),
+    )
+    with pytest.raises(ValueError, match="chain not increasing at step 4"):
         broken.validate()
 
 

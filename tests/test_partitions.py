@@ -32,6 +32,15 @@ def test_normalize_rejects_bad_input():
     with pytest.raises(ValueError, match="weakly decrease"):
         normalize_partition(r for r in (1, 2))
     assert normalize_partition(r for r in (3, 1, 0)) == (3, 1)
+    # rows are coerced by operator.index: a float or a digit string is
+    # named, not truncated or parsed; ints of other types still pass
+    with pytest.raises(ValueError, match="2.7 is not an integer"):
+        normalize_partition([2.7, 1])
+    with pytest.raises(ValueError, match="'2' is not an integer"):
+        normalize_partition("21")
+    with pytest.raises(ValueError, match="1.0 is not an integer"):
+        normalize_partition((1.0,))
+    assert normalize_partition([True, 0]) == (1,)
 
 
 def test_contains_and_conjugate():
@@ -81,6 +90,10 @@ def test_staircase_rejects_bad_alpha():
         Staircase((5,), 5)
     with pytest.raises(ValueError):
         Staircase((0, 2), 5)
+    with pytest.raises(ValueError, match="1.5 is not an integer"):
+        Staircase((1.5, 3), 5)
+    with pytest.raises(ValueError, match="5.0 is not an integer"):
+        Staircase((1, 3), 5.0)
 
 
 def test_staircase_offsets_and_embedding():

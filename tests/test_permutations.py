@@ -27,6 +27,9 @@ def test_check_permutation():
         check_permutation((1, 1, 2))
     with pytest.raises(ValueError):
         check_permutation((0, 1, 2))
+    # int() would truncate [2.5, 1] to the permutation (2, 1)
+    with pytest.raises(ValueError, match="2.5 is not an integer"):
+        check_permutation([2.5, 1])
 
 
 def test_descent_sets():

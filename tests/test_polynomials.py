@@ -16,6 +16,19 @@ def test_constructors_drop_zeros():
     assert IntPolynomial.one(3).coefficient((0, 0, 0)) == 1
 
 
+def test_non_integral_coefficients_and_exponents_raise():
+    # a zero test before coercion would pass 0.5 and store int(0.5) == 0
+    with pytest.raises(TypeError):
+        IntPolynomial(2, {(1, 0): 0.5})
+    with pytest.raises(TypeError):
+        IntPolynomial(2, {(1.0, 0): 1})
+    # index, not a zero test, comes first, so a float exponent on a zero
+    # coefficient raises too
+    with pytest.raises(TypeError):
+        IntPolynomial(2, {(1.5, 0): 0})
+    assert IntPolynomial(2, {(True, 0): 2}) == 2 * x(1, 2)
+
+
 def test_arity_checked():
     with pytest.raises(ValueError):
         IntPolynomial(2, {(1, 0, 0): 1})

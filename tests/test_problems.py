@@ -58,6 +58,12 @@ def test_problem_rejects_overflow_partition():
 def test_problem_rejects_bad_cut():
     with pytest.raises(ProblemError, match="out of range"):
         SchubertProblem(4, ((4, (1,)),))
+    # int() would truncate 2.9 to cut 2
+    with pytest.raises(ProblemError, match="2.9 is not an integer"):
+        SchubertProblem(4, ((2.9, (1,)),))
+    # an unchecked n of 4.0 would make the rule fail deep inside
+    with pytest.raises(ProblemError, match="4.0 is not an integer"):
+        SchubertProblem(4.0, ((2, (1,)),) * 4)
 
 
 def test_validate_problem_accepts(seven_term_problem):
@@ -72,6 +78,12 @@ def test_validate_problem_dimension_mismatch():
     p = SchubertProblem(4, tuple((a, (1,)) for a in (1, 1, 2, 2, 3)))
     with pytest.raises(DimensionMismatchError, match="dimension condition"):
         validate_problem(p)
+
+
+def test_validate_problem_rejects_non_integral_alpha():
+    quad = SchubertProblem(4, ((2, (1,)),) * 4)
+    with pytest.raises(ProblemError, match="1.5 is not an integer"):
+        validate_problem(quad, (1.5, 2))
 
 
 def test_validate_problem_empty():

@@ -63,6 +63,17 @@ def test_skew_shape_basics():
         SkewShape((2, 1), (3,))
 
 
+def test_tableau_entries_must_be_integers():
+    # int() would truncate 1.5 to 1, making an LR filling of content (2,)
+    with pytest.raises(ValueError, match="1.5 is not an integer"):
+        tableau((2,), (), [(1, 1.5)])
+    # is_lr_tableau stays total on content it cannot coerce
+    t = tableau((2,), (), [(1, 1)])
+    assert is_lr_tableau(t, (2,))
+    assert not is_lr_tableau(t, "ab")
+    assert not is_lr_tableau(t, (2.0,))
+
+
 def test_ballot_words():
     assert is_ballot(())
     assert is_ballot((1, 1, 2))
