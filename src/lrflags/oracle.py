@@ -53,7 +53,7 @@ import itertools
 from operator import le
 from typing import Iterable, Sequence
 
-from .partitions import fits_in_rectangle, normalize_partition
+from .partitions import contains, cut_position, normalize_partition, partition_in_rectangle
 from .permutations import (
     ValleyPermutation,
     check_permutation,
@@ -259,8 +259,8 @@ def class_coefficient(poly: IntPolynomial, w: Sequence[int]) -> int:
     return out.coefficient((0,) * poly.nvars)
 
 
-def _term_words(problem: SchubertProblem) -> list[tuple[int, ...]]:
-    return [grassmannian_permutation(a, lam, problem.n) for a, lam in problem.terms]
+def _term_words(terms: Iterable[tuple[int, tuple[int, ...]]], n: int) -> list[tuple[int, ...]]:
+    return [grassmannian_permutation(a, lam, n) for a, lam in terms]
 
 
 def oracle_intersection_number(
@@ -282,7 +282,7 @@ def oracle_intersection_number(
     n = problem.n
     if problem.total_size != dimension(chosen, n):
         return 0
-    top = _top_product(_block_staircase(chosen, n), _term_words(problem))
+    top = _top_product(_block_staircase(chosen, n), _term_words(problem.terms, n))
     return staircase_coefficient(top, n)
 
 
@@ -298,7 +298,7 @@ def oracle_coefficient(w: Sequence[int], problem: SchubertProblem) -> int:
         raise ProblemError(f"permutation size {len(w)} != problem ambient {n}")
     if length(w) != problem.total_size:
         return 0
-    words = _term_words(problem) + [dual(w)]
+    words = _term_words(problem.terms, n) + [dual(w)]
     return staircase_coefficient(_top_product(IntPolynomial.one(n), words), n)
 
 
@@ -335,8 +335,7 @@ def monk_multiply(w: Sequence[int], a: int) -> dict[tuple[int, ...], int]:
     """
     w = check_permutation(w)
     n = len(w)
-    if not 1 <= a <= n - 1:
-        raise ValueError(f"cut position {a} out of range 1..{n - 1}")
+    a = cut_position(a, n)
     lw = length(w)
     out: dict[tuple[int, ...], int] = {}
     for j in range(1, a + 1):
@@ -380,8 +379,7 @@ def a_bruhat_leq(v: Sequence[int], w: Sequence[int], a: int) -> bool:
     if len(v) != len(w):
         raise ValueError("permutations must have the same size")
     n = len(v)
-    if not 1 <= a <= n - 1:
-        raise ValueError(f"cut position {a} out of range 1..{n - 1}")
+    a = cut_position(a, n)
     for i in range(n):
         if i < a:
             if w[i] < v[i]:
@@ -409,8 +407,7 @@ def descent_support_check(problem: SchubertProblem, t: int) -> bool:
         return True
     n = problem.n
     prefix = problem.terms[:t]
-    words = [grassmannian_permutation(a, lam, n) for a, lam in prefix]
-    poly = _class_product(words, n)
+    poly = _class_product(_term_words(prefix, n), n)
     a_t = prefix[-1][0]
     for w, coeff in schubert_expand(poly, n).items():
         if coeff < 0:
@@ -434,9 +431,8 @@ def restrict_shape(nu: Iterable[int], b: int, n: int) -> tuple[int, ...]:
     >>> restrict_shape((4, 2), 3, 6)
     (2, 1)
     """
+    b = cut_position(b, n)
     nu = normalize_partition(nu)
-    if not 1 <= b <= n - 1:
-        raise ValueError(f"cut position {b} out of range 1..{n - 1}")
     if len(nu) > b:
         raise ValueError(f"shape {nu} has more than {b} rows")
     if any(nu[j] <= nu[j + 1] for j in range(len(nu) - 1)) or (nu and nu[0] > n - 1):
@@ -452,17 +448,12 @@ def coefficient_identity_check(
     the pullback of ``lam`` with the Littlewood-Richardson count on the
     restricted skew shape.
     """
-    lam = normalize_partition(lam)
     if v.n != w.n or v.floor != w.floor:
         raise ValueError("valley permutations must share ambient size and floor")
     a, n = v.floor, v.n
-    if not fits_in_rectangle(lam, a, n):
-        raise ValueError(f"partition {lam} does not fit in {a} x {n - a}")
+    lam = partition_in_rectangle(lam, a, n)
     nu, mu = v.mu, w.mu
-    if not all(
-        (nu[i] if i < len(nu) else 0) <= (mu[i] if i < len(mu) else 0)
-        for i in range(max(len(nu), len(mu)))
-    ):
+    if not contains(mu, nu):
         raise ValueError(f"shape {nu} is not contained in {mu}")
     if length(v.word) + sum(lam) != length(w.word):
         lhs = 0

@@ -55,6 +55,43 @@ def as_int(value: object, error: type[ValueError] = ValueError) -> int:
         raise error(f"{value!r} is not an integer") from None
 
 
+def cut_position(a: object, n: object, error: type[ValueError] = ValueError) -> int:
+    """``a`` as a cut of ``Fl(a; n)``: an integer in ``1..n-1``, else ``error``.
+
+    >>> cut_position(5, 5)
+    Traceback (most recent call last):
+    ...
+    ValueError: cut position 5 out of range 1..4
+    """
+    try:
+        a, n = index(a), index(n)
+    except TypeError:  # coerce again, only to name the bad value
+        a, n = as_int(a, error), as_int(n, error)
+    if not 1 <= a <= n - 1:
+        raise error(f"cut position {a} out of range 1..{n - 1}")
+    return a
+
+
+def cut_set(
+    alpha: Iterable[object], n: object, error: type[ValueError] = ValueError
+) -> tuple[int, ...]:
+    """The distinct cuts of ``alpha``, sorted, if they form a non-empty
+    subset of ``1..n-1``; else ``error``.
+
+    >>> cut_set((3, 1, 3), 5)
+    (1, 3)
+    >>> cut_set((), 5)
+    Traceback (most recent call last):
+    ...
+    ValueError: alpha [] not contained in 1..4
+    """
+    cuts = sorted({as_int(a, error) for a in alpha})
+    n = as_int(n, error)
+    if not cuts or cuts[0] < 1 or cuts[-1] > n - 1:
+        raise error(f"alpha {cuts} not contained in 1..{n - 1}")
+    return tuple(cuts)
+
+
 def normalize_partition(rows: Iterable[int]) -> tuple[int, ...]:
     """Return ``rows`` as a canonical partition tuple, without trailing zeros.
 
@@ -99,12 +136,35 @@ def conjugate(partition: tuple[int, ...]) -> tuple[int, ...]:
 def fits_in_rectangle(lam: tuple[int, ...], b: int, n: int) -> bool:
     """True iff ``lam`` fits in the ``b x (n-b)`` rectangle.
 
-    ``b`` must be a valid cut position, i.e. ``1 <= b <= n-1``.
+    ``b`` must be a cut position (see :func:`cut_position`).
     """
-    if not 1 <= b <= n - 1:
-        raise ValueError(f"cut position {b} out of range 1..{n - 1}")
-    lam = normalize_partition(lam)
+    return _fits(normalize_partition(lam), cut_position(b, n), n)
+
+
+def _fits(lam: tuple[int, ...], b: int, n: int) -> bool:
+    # the containment test, on a normalized partition and a checked cut
     return len(lam) <= b and (not lam or lam[0] <= n - b)
+
+
+def partition_in_rectangle(
+    lam: Iterable[int], b: int, n: int, error: type[ValueError] = ValueError
+) -> tuple[int, ...]:
+    """``lam`` normalized, if ``b`` is a cut position and ``lam`` fits in
+    the ``b x (n-b)`` rectangle; else ``error``.
+
+    >>> partition_in_rectangle((4, 1), 2, 5)
+    Traceback (most recent call last):
+    ...
+    ValueError: rectangle containment violated: partition (4, 1) does not fit in 2 x 3
+    """
+    b = cut_position(b, n, error)
+    lam = normalize_partition(lam)
+    if not _fits(lam, b, n):
+        raise error(
+            f"rectangle containment violated: partition {lam or '()'} "
+            f"does not fit in {b} x {n - b}"
+        )
+    return lam
 
 
 def partitions_in_box(max_rows: int, max_cols: int) -> Iterator[tuple[int, ...]]:
@@ -149,11 +209,7 @@ class Staircase:
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "n", as_int(self.n))
-        alpha = tuple(sorted(set(map(as_int, self.alpha))))
-        if not alpha:
-            raise ValueError("alpha must be a non-empty set of cut positions")
-        if alpha[0] < 1 or alpha[-1] > self.n - 1:
-            raise ValueError(f"alpha {alpha} not contained in 1..{self.n - 1}")
+        alpha = cut_set(self.alpha, self.n)
         object.__setattr__(self, "alpha", alpha)
         rows = _staircase_rows(alpha, self.n)
         width = self.n - alpha[0]

@@ -19,7 +19,7 @@ import itertools
 from dataclasses import dataclass
 from typing import Iterable, Iterator, Sequence
 
-from .partitions import as_int, fits_in_rectangle, normalize_partition
+from .partitions import as_int, cut_position, cut_set, normalize_partition, partition_in_rectangle
 
 __all__ = [
     "check_permutation",
@@ -90,8 +90,7 @@ def swap_positions(w: Sequence[int], j: int, k: int) -> tuple[int, ...]:
 
 
 def simple_transposition(n: int, a: int) -> tuple[int, ...]:
-    if not 1 <= a <= n - 1:
-        raise ValueError(f"simple transposition index {a} out of range 1..{n - 1}")
+    a = cut_position(a, n)
     return swap_positions(identity(n), a, a + 1)
 
 
@@ -103,9 +102,7 @@ def grassmannian_permutation(b: int, lam: Iterable[int], n: int) -> tuple[int, .
     >>> grassmannian_permutation(3, (4, 2, 1), 7)
     (2, 4, 7, 1, 3, 5, 6)
     """
-    lam = normalize_partition(lam)
-    if not fits_in_rectangle(lam, b, n):
-        raise ValueError(f"partition {lam} does not fit in {b} x {n - b}")
+    lam = partition_in_rectangle(lam, b, n)
     padded = lam + (0,) * (b - len(lam))
     head = [i + padded[b - i] for i in range(1, b + 1)]
     used = set(head)
@@ -120,8 +117,7 @@ def shape_of_grassmannian(w: Sequence[int], b: int) -> tuple[int, ...]:
     (4, 1)
     """
     w = check_permutation(w)
-    if not 1 <= b <= len(w) - 1:
-        raise ValueError(f"descent position {b} out of range 1..{len(w) - 1}")
+    b = cut_position(b, len(w))
     extra = descent_set(w) - {b}
     if extra:
         raise ValueError(f"{w} has descents {sorted(extra)} outside {{{b}}}")
@@ -144,13 +140,10 @@ def longest_with_descents_in(alpha: Iterable[int], n: int) -> tuple[int, ...]:
     >>> longest_with_descents_in((2, 3, 5), 7)
     (6, 7, 5, 3, 4, 1, 2)
     """
-    cuts = sorted(set(alpha))
-    if not cuts or cuts[0] < 1 or cuts[-1] > n - 1:
-        raise ValueError(f"alpha {cuts} not contained in 1..{n - 1}")
     word: list[int] = []
     prev = 0
     top = n
-    for a in cuts + [n]:
+    for a in (*cut_set(alpha, n), n):
         size = a - prev
         word.extend(range(top - size + 1, top + 1))
         top -= size
@@ -173,14 +166,15 @@ class ValleyPermutation:
     def __post_init__(self) -> None:
         w = check_permutation(self.word)
         n = len(w)
-        if not 1 <= self.floor <= n:
-            raise ValueError(f"floor {self.floor} out of range 1..{n}")
-        a = self.floor
+        a = as_int(self.floor)
+        if not 1 <= a <= n:
+            raise ValueError(f"floor {a} out of range 1..{n}")
         if any(w[i] <= w[i + 1] for i in range(a - 1)):
             raise ValueError(f"{w} does not decrease through position {a}")
         if any(w[i] >= w[i + 1] for i in range(a, n - 1)):
             raise ValueError(f"{w} does not increase after position {a}")
         object.__setattr__(self, "word", w)
+        object.__setattr__(self, "floor", a)
 
     @property
     def n(self) -> int:
@@ -214,6 +208,7 @@ def valley_from_shape(mu: Iterable[int], a: int, n: int) -> ValleyPermutation:
     (5, 3, 1, 2, 4, 6)
     """
     mu = normalize_partition(mu)
+    a, n = as_int(a), as_int(n)
     if not 1 <= a <= n:
         raise ValueError(f"floor {a} out of range 1..{n}")
     if len(mu) > a:

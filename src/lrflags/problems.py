@@ -20,9 +20,10 @@ need the dimension condition, can share the type.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from operator import index
 from typing import Iterable
 
-from .partitions import Staircase, as_int, normalize_partition
+from .partitions import Staircase, as_int, cut_position, cut_set, partition_in_rectangle
 
 __all__ = [
     "ProblemError",
@@ -51,12 +52,9 @@ def dimension(alpha: Iterable[int], n: int) -> int:
     >>> dimension((2, 3, 4), 6)
     13
     """
-    cuts = sorted(set(alpha))
-    if not cuts or cuts[0] < 1 or cuts[-1] > n - 1:
-        raise ProblemError(f"alpha {cuts} not contained in 1..{n - 1}")
     total = 0
     prev = 0
-    for a in cuts:
+    for a in cut_set(alpha, n, ProblemError):
         total += (n - a) * (a - prev)
         prev = a
     return total
@@ -76,21 +74,13 @@ class SchubertProblem:
         cleaned = []
         prev_a = 0
         for a, lam in self.terms:
-            a = as_int(a, ProblemError)
-            if not 1 <= a <= self.n - 1:
-                raise ProblemError(f"cut position {a} out of range 1..{self.n - 1}")
+            lam = partition_in_rectangle(lam, a, self.n, ProblemError)
+            a = index(a)  # an integer cut, as the gate above has checked
             if a < prev_a:
                 raise ProblemError(
                     "sortedness violated: terms must be ordered by cut position"
                 )
             prev_a = a
-            lam = normalize_partition(lam)
-            # fits_in_rectangle's test, on the partition normalized once
-            if len(lam) > a or (lam and lam[0] > self.n - a):
-                raise ProblemError(
-                    f"rectangle containment violated: partition {lam or '()'} "
-                    f"does not fit in {a} x {self.n - a}"
-                )
             cleaned.append((a, lam))
         object.__setattr__(self, "terms", tuple(cleaned))
 
@@ -125,12 +115,9 @@ def validate_problem(
     rule and the oracle each compute on it and get 0.
     """
     own = problem.alpha
-    if alpha is None:
-        if not problem.terms:
-            raise ProblemError("problem has no terms, so alpha is empty")
-        chosen = own
-    else:
-        chosen = tuple(sorted({as_int(a, ProblemError) for a in alpha}))
+    if alpha is None and not problem.terms:
+        raise ProblemError("problem has no terms, so alpha is empty")
+    chosen = own if alpha is None else cut_set(alpha, problem.n, ProblemError)
     want = dimension(chosen, problem.n)
     if not set(chosen) >= set(own):
         raise ProblemError(
@@ -158,8 +145,7 @@ def refine_problem(problem: SchubertProblem, b: int) -> SchubertProblem:
     if not problem.terms:
         raise ProblemError("cannot refine a problem with no terms")
     n = problem.n
-    if not 1 <= b <= n - 1:
-        raise ProblemError(f"new cut {b} out of range 1..{n - 1}")
+    b = cut_position(b, n, ProblemError)
     alpha = problem.alpha
     if b in alpha:
         raise ProblemError(f"cut {b} already present in alpha {set(alpha)}")

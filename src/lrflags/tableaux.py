@@ -38,7 +38,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import accumulate
-from operator import ge, gt, lt, sub
+from operator import ge, gt, index, lt, sub
 from typing import Iterable, Iterator, Sequence
 
 from .partitions import as_int, contains, normalize_partition
@@ -106,7 +106,11 @@ class SkewTableau:
     rows: tuple[tuple[int, ...], ...]
 
     def __post_init__(self) -> None:
-        rows = tuple(tuple(map(as_int, row)) for row in self.rows)
+        rows = tuple(map(tuple, self.rows))  # a one-shot iterator could not be read again
+        try:
+            rows = tuple(tuple(map(index, row)) for row in rows)
+        except TypeError:  # coerce again, only to name the bad entry
+            rows = tuple(tuple(map(as_int, row)) for row in rows)
         outer, inner = self.shape.outer, self.shape.inner
         if len(rows) != len(outer):
             raise ValueError("one entry row per shape row required")

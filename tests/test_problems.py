@@ -1,5 +1,17 @@
+import re
+
 import pytest
 
+from lrflags.oracle import a_bruhat_leq, monk_multiply, restrict_shape
+from lrflags.partitions import Staircase, fits_in_rectangle
+from lrflags.permutations import (
+    ValleyPermutation,
+    grassmannian_permutation,
+    longest_with_descents_in,
+    shape_of_grassmannian,
+    simple_transposition,
+    valley_from_shape,
+)
 from lrflags.problems import (
     DimensionMismatchError,
     ProblemError,
@@ -132,3 +144,60 @@ def test_refinement_preserves_intersection_number():
     after = intersection_number(refine_problem(base, 2))
     assert before == after
     assert before > 0
+
+
+def _refine_quad(b):
+    return refine_problem(SchubertProblem(4, ((2, (1,)),) * 4), b)
+
+
+def _validate_quad(alpha):
+    return validate_problem(SchubertProblem(4, ((2, (1,)),) * 4), alpha)
+
+
+def _named(value):
+    return f"^{re.escape(repr(value))} is not an integer$"
+
+
+_RANGE = r"^cut position -?\d+ out of range 1\.\.\d+$"
+_SET = r"^alpha \[[\d, ]*\] not contained in 1\.\.\d+$"
+
+
+# every public call that takes a cut, cut set, floor or n: a non-integral
+# value is named, not truncated, computed with or left to a TypeError, and
+# a cut outside 1..n-1 is named too
+_GATED = [
+    (dimension, ((2.5,), 5), ProblemError, _named(2.5)),
+    (dimension, ((2,), 5.0), ProblemError, _named(5.0)),
+    (longest_with_descents_in, ((2.0,), 4), ValueError, _named(2.0)),
+    (grassmannian_permutation, (2, (1,), 4.0), ValueError, _named(4.0)),
+    (grassmannian_permutation, (2.0, (1,), 4), ValueError, _named(2.0)),
+    (fits_in_rectangle, ((1,), 2.5, 5), ValueError, _named(2.5)),
+    (ValleyPermutation, ((3, 1, 2), 2.0), ValueError, _named(2.0)),
+    (valley_from_shape, ((4, 2), 3.0, 6), ValueError, _named(3.0)),
+    (simple_transposition, (4, 1.0), ValueError, _named(1.0)),
+    (shape_of_grassmannian, ((1, 3, 2), 2.0), ValueError, _named(2.0)),
+    (monk_multiply, ((1, 2, 3), 1.5), ValueError, _named(1.5)),
+    (restrict_shape, ((2, 1), 2.0, 4), ValueError, _named(2.0)),
+    (a_bruhat_leq, ((1, 2, 3), (2, 1, 3), 1.0), ValueError, _named(1.0)),
+    (fits_in_rectangle, ((1,), 5, 5), ValueError, _RANGE),
+    (grassmannian_permutation, (0, (1,), 4), ValueError, _RANGE),
+    (simple_transposition, (4, 4), ValueError, _RANGE),
+    (shape_of_grassmannian, ((1, 3, 2), 3), ValueError, _RANGE),
+    (monk_multiply, ((1, 2, 3), 3), ValueError, _RANGE),
+    (restrict_shape, ((2, 1), 4, 4), ValueError, _RANGE),
+    (a_bruhat_leq, ((1, 2, 3), (2, 1, 3), 0), ValueError, _RANGE),
+    (_refine_quad, (4,), ProblemError, _RANGE),
+    (SchubertProblem, (4, ((4, (1,)),)), ProblemError, _RANGE),
+    (dimension, ((2, 5), 5), ProblemError, _SET),
+    (longest_with_descents_in, ((0, 2), 4), ValueError, _SET),
+    (Staircase, ((), 5), ValueError, _SET),
+    (_validate_quad, ((2, 4),), ProblemError, _SET),
+]
+
+
+@pytest.mark.parametrize(
+    "call, args, error, message", _GATED, ids=[f"{c.__name__}{a}" for c, a, _, _ in _GATED]
+)
+def test_cut_floor_and_n_are_gated(call, args, error, message):
+    with pytest.raises(error, match=message):
+        call(*args)

@@ -74,6 +74,16 @@ def test_tableau_entries_must_be_integers():
     assert not is_lr_tableau(t, (2.0,))
 
 
+def test_tableau_rows_read_once_still_name_a_bad_entry():
+    # rows are coerced in one C-level pass, then again only to name a bad
+    # entry; one-shot iterators must not lose the entries the first pass read
+    shape = SkewShape((1,), ())
+    with pytest.raises(ValueError, match="1.5 is not an integer"):
+        SkewTableau(shape, (row for row in [(1.5,), (1,)]))
+    with pytest.raises(ValueError, match="1.5 is not an integer"):
+        SkewTableau(shape, [iter((1.5, 1))])
+
+
 def test_ballot_words():
     assert is_ballot(())
     assert is_ballot((1, 1, 2))
@@ -181,7 +191,7 @@ def test_size_eight_skew_against_brute_force():
         assert [t.rows for t in fast] == [t.rows for t in slow], lam
 
 
-def test_count_is_cached_len():
+def test_count_small_known_coefficients():
     assert count_lr_tableaux((3, 2, 1), (2, 1), (2, 1)) == 2
     assert count_lr_tableaux((2, 2), (2,), (1,)) == 0
     assert count_lr_tableaux((2, 1), (), (2, 1)) == 1
