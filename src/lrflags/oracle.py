@@ -45,6 +45,17 @@ reach a permuted staircase, so the top-degree products of
 ``descent_support_check`` keeps the full product: its
 ``schubert_expand`` reads classes below top degree, which pruned
 monomials can still reach.
+
+Sub-flag dimension test: each class at a cut ``c`` is pulled back from
+the Grassmannian ``Gr(c, n)``, so for any subset ``S`` of a problem's
+cuts the classes at cuts in ``S`` are pulled back from the partial flag
+manifold ``Fl(S; n)``, whose cohomology is 0 above ``dim Fl(S; n)``.
+Their product, and with it the whole product, is then 0 once their total
+content size exceeds that dimension.  ``oracle_intersection_number``
+answers such problems 0 before any multiplication (a quadratic dynamic
+program over the cuts, ``_sub_flag_excess``); it reads only cuts and
+content sizes, so it shares nothing with the rule.  ``oracle_coefficient``
+and ``coefficient_identity_check`` keep their full products.
 """
 
 from __future__ import annotations
@@ -53,7 +64,13 @@ import itertools
 from operator import le
 from typing import Iterable, Sequence
 
-from .partitions import contains, cut_position, normalize_partition, partition_in_rectangle
+from .partitions import (
+    as_int,
+    contains,
+    cut_position,
+    normalize_partition,
+    partition_in_rectangle,
+)
 from .permutations import (
     ValleyPermutation,
     check_permutation,
@@ -217,6 +234,7 @@ def _block_staircase(alpha: Sequence[int], n: int) -> IntPolynomial:
 def sum_of_first_variables(a: int, n: int) -> IntPolynomial:
     """``x1 + ... + xa``: the degree-one class pulled back from the
     ``a``-th Grassmannian."""
+    a = cut_position(a, n)
     poly = IntPolynomial.zero(n)
     for i in range(1, a + 1):
         poly = poly + IntPolynomial.variable(i, n)
@@ -263,6 +281,30 @@ def _term_words(terms: Iterable[tuple[int, tuple[int, ...]]], n: int) -> list[tu
     return [grassmannian_permutation(a, lam, n) for a, lam in terms]
 
 
+def _sub_flag_excess(problem: SchubertProblem) -> int:
+    """The largest ``sum_{c in S} deg(c) - dim Fl(S; n)`` over nonempty
+    subsets ``S`` of the problem's cuts, ``deg(c)`` the content size at
+    ``c``; 0 for a problem without terms.
+
+    A dynamic program over the sorted distinct cuts, quadratic in their
+    number where listing the subsets is exponential.  ``best`` holds, for
+    each cut seen so far, the largest excess of a subset ending there: a
+    subset starting at ``c`` has dimension ``(n - c) c``, and one that
+    reaches ``c`` from ``b`` adds ``(n - c)(c - b)``.
+
+    >>> _sub_flag_excess(SchubertProblem(4, ((1, (3,)), (1, (1,)), (3, (1,)))))
+    1
+    """
+    n = problem.n
+    degree: dict[int, int] = {}
+    for a, lam in problem.terms:  # sorted by cut
+        degree[a] = degree.get(a, 0) + sum(lam)
+    best: list[tuple[int, int]] = []
+    for c, d in degree.items():
+        best.append((c, d + max([-(n - c) * c] + [g - (n - c) * (c - b) for b, g in best])))
+    return max((g for _, g in best), default=0)
+
+
 def oracle_intersection_number(
     problem: SchubertProblem, alpha: Sequence[int] | None = None
 ) -> int:
@@ -276,11 +318,14 @@ def oracle_intersection_number(
     so pairing it with ``x^delta_P`` extracts the same number as pairing
     it with the dual class of the point class, which ``oracle_coefficient``
     does (see the module docstring).  A total size other than alpha's
-    dimension gives 0.
+    dimension gives 0.  So does a subset ``S`` of the problem's own cuts
+    whose classes' total degree exceeds ``dim Fl(S; n)``: those classes
+    are pulled back from ``Fl(S; n)``, where every class above its
+    dimension is 0, so the product is 0 before any multiplication.
     """
     chosen = validate_problem(problem, alpha)
     n = problem.n
-    if problem.total_size != dimension(chosen, n):
+    if problem.total_size != dimension(chosen, n) or _sub_flag_excess(problem) > 0:
         return 0
     top = _top_product(_block_staircase(chosen, n), _term_words(problem.terms, n))
     return staircase_coefficient(top, n)
@@ -308,6 +353,7 @@ def schubert_expand(poly: IntPolynomial, n: int) -> dict[tuple[int, ...], int]:
     Extracts one coefficient per permutation of the matching length via
     duality; intended for small ``n`` (property tests, prefix checks).
     """
+    n = as_int(n)
     if poly.is_zero:
         return {}
     if not poly.is_homogeneous():
@@ -401,6 +447,7 @@ def descent_support_check(problem: SchubertProblem, t: int) -> bool:
     Vacuously true for ``t = 0``; used as a property check, not in any
     counting path.
     """
+    t = as_int(t, ProblemError)
     if not 0 <= t <= len(problem.terms):
         raise ProblemError(f"prefix length {t} out of range 0..{len(problem.terms)}")
     if t == 0:

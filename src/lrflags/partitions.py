@@ -171,13 +171,18 @@ def partitions_in_box(max_rows: int, max_cols: int) -> Iterator[tuple[int, ...]]
     """All partitions with at most ``max_rows`` rows, each at most ``max_cols``.
 
     Deterministic order: the empty partition first, then by first row
-    ascending, recursively.
+    ascending, recursively.  Both bounds are checked on the call, not on
+    the first item drawn.
     """
+    return _partitions_in_box(as_int(max_rows), as_int(max_cols))
+
+
+def _partitions_in_box(max_rows: int, max_cols: int) -> Iterator[tuple[int, ...]]:
     yield ()
     if max_rows <= 0 or max_cols <= 0:
         return
     for first in range(1, max_cols + 1):
-        for rest in partitions_in_box(max_rows - 1, first):
+        for rest in _partitions_in_box(max_rows - 1, first):
             yield (first, *rest)
 
 

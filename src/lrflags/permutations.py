@@ -50,12 +50,12 @@ def check_permutation(word: Sequence[int]) -> tuple[int, ...]:
 
 
 def identity(n: int) -> tuple[int, ...]:
-    return tuple(range(1, n + 1))
+    return tuple(range(1, as_int(n) + 1))
 
 
 def longest(n: int) -> tuple[int, ...]:
     """The longest permutation ``n, n-1, ..., 1``."""
-    return tuple(range(n, 0, -1))
+    return tuple(range(as_int(n), 0, -1))
 
 
 def length(w: Sequence[int]) -> int:

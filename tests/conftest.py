@@ -1,7 +1,7 @@
 """Shared fixtures: the worked examples and problem generators."""
 
 import random
-from itertools import combinations
+from itertools import combinations, product
 
 import pytest
 
@@ -138,3 +138,26 @@ def all_valid_problems(n: int) -> list[SchubertProblem]:
 
             walk(0, 0, False, 0)
     return problems
+
+
+def strictly_wider(alpha, n):
+    """Every cut set of [n-1] that strictly contains ``alpha``."""
+    rest = [c for c in range(1, n) if c not in alpha]
+    for k in range(1, len(rest) + 1):
+        for extra in combinations(rest, k):
+            yield tuple(sorted(set(alpha) | set(extra)))
+
+
+def equal_size_wider_pairs():
+    """Pairs ``(problem, wider)`` with n = 3..5: one term per cut of
+    ``own``, empty contents allowed, and a strictly wider cut set whose
+    dimension equals the problem's total size."""
+    for n in range(3, 6):
+        for size in range(1, n):
+            for own in combinations(range(1, n), size):
+                boxes = [partitions_in_box(a, n - a) for a in own]
+                for lams in product(*boxes):
+                    problem = SchubertProblem(n, tuple(zip(own, lams)))
+                    for wider in strictly_wider(own, n):
+                        if dimension(wider, n) == problem.total_size:
+                            yield problem, wider

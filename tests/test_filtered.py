@@ -503,22 +503,15 @@ def test_superset_alpha_vanishes():
     assert intersection_number(SchubertProblem(4, ()), alpha=(1, 2)) == 0
 
 
-def _strictly_wider(alpha, n):
-    rest = [c for c in range(1, n) if c not in alpha]
-    for k in range(1, len(rest) + 1):
-        for extra in combinations(rest, k):
-            yield tuple(sorted(set(alpha) | set(extra)))
-
-
 def test_rule_vanishes_on_every_wider_region():
     # the rule itself gives the 0 of a strictly wider cut set: counted in
     # that set's full region, every valid problem with n <= 5 has none
-    from conftest import all_valid_problems
+    from conftest import all_valid_problems, strictly_wider
 
     pairs = 0
     for n in range(2, 6):
         for problem in all_valid_problems(n):
-            for wider in _strictly_wider(problem.alpha, n):
+            for wider in strictly_wider(problem.alpha, n):
                 target = Shape.full(Staircase(wider, n))
                 assert count_filtered_tableaux(problem, target) == 0, (problem, wider)
                 pairs += 1
@@ -529,25 +522,18 @@ def test_wider_region_of_equal_size_vanishes_on_every_route():
     # one term per cut, total size equal to the dimension of a strictly
     # wider cut set: the size test passes, so the 0 comes from the
     # rectangles, and every route of the rule and the oracle must reach it
+    from conftest import equal_size_wider_pairs
+
     from lrflags.oracle import oracle_intersection_number
-    from lrflags.problems import dimension
 
     pairs = 0
-    for n in range(3, 6):
-        for size in range(1, n):
-            for own in combinations(range(1, n), size):
-                boxes = [partitions_in_box(a, n - a) for a in own]
-                for lams in product(*boxes):
-                    problem = SchubertProblem(n, tuple(zip(own, lams)))
-                    for wider in _strictly_wider(own, n):
-                        if dimension(wider, n) != problem.total_size:
-                            continue
-                        target = Shape.full(Staircase(wider, n))
-                        assert count_filtered_tableaux(problem, target) == 0
-                        assert list(enumerate_filtered_tableaux(problem, target)) == []
-                        assert intersection_number(problem, wider) == 0
-                        assert oracle_intersection_number(problem, wider) == 0
-                        pairs += 1
+    for problem, wider in equal_size_wider_pairs():
+        target = Shape.full(Staircase(wider, problem.n))
+        assert count_filtered_tableaux(problem, target) == 0
+        assert list(enumerate_filtered_tableaux(problem, target)) == []
+        assert intersection_number(problem, wider) == 0
+        assert oracle_intersection_number(problem, wider) == 0
+        pairs += 1
     assert pairs == 198
 
 

@@ -1,5 +1,6 @@
 import itertools
 import random
+from collections import Counter
 
 import pytest
 
@@ -383,3 +384,73 @@ def test_coefficient_identity_exhaustive_small():
                     continue
                 for lam in partitions_in_box(a, n - a):
                     assert coefficient_identity_check(v, w, lam), (v, w, lam)
+
+
+def _brute_sub_flag_excess(problem):
+    from lrflags.problems import dimension
+
+    n = problem.n
+    degree = {a: 0 for a in problem.alpha}
+    for a, lam in problem.terms:
+        degree[a] += sum(lam)
+    return max(
+        sum(degree[c] for c in subset) - dimension(subset, n)
+        for k in range(1, len(degree) + 1)
+        for subset in itertools.combinations(sorted(degree), k)
+    )
+
+
+def test_sub_flag_excess_is_the_largest_over_every_cut_subset():
+    from conftest import all_valid_problems, random_valid_problem
+
+    problems = [p for n in range(2, 6) for p in all_valid_problems(n)]
+    rng = random.Random(22)
+    problems += [random_valid_problem(rng, n) for n in range(6, 10) for _ in range(75)]
+    for problem in problems:
+        assert oracle._sub_flag_excess(problem) == _brute_sub_flag_excess(problem), problem
+
+
+def test_sub_flag_test_drops_only_products_that_extract_zero():
+    # whatever the dimension test answers 0 must extract 0 from the full
+    # product too, on the problem's own cut set and on a wider one of the
+    # same dimension
+    from conftest import all_valid_problems, equal_size_wider_pairs
+
+    cases = [(p, "own", p.alpha) for n in range(2, 6) for p in all_valid_problems(n)]
+    cases += [(p, "wider", wider) for p, wider in equal_size_wider_pairs()]
+    flagged = Counter()
+    for problem, kind, alpha in cases:
+        if oracle._sub_flag_excess(problem) <= 0:
+            continue
+        n = problem.n
+        words = [grassmannian_permutation(a, lam, n) for a, lam in problem.terms]
+        top = oracle._top_product(oracle._block_staircase(alpha, n), words)
+        assert staircase_coefficient(top, n) == 0, (problem, alpha)
+        flagged[n, kind] += 1
+    # n <= 3 has no zero answer to flag: every valid problem there is
+    # nonzero, and no wider cut set matches a total size; every wider pair
+    # is flagged, its own cuts being the subset
+    assert flagged == {(4, "own"): 24, (5, "own"): 3161, (4, "wider"): 5, (5, "wider"): 193}
+
+
+FULL_FLAG_ZERO_9 = SchubertProblem(9, tuple((a, (1,)) for a in range(1, 8)) + ((8, (1,)),) * 29)
+
+
+def test_sub_flag_zero_needs_no_multiplication(monkeypatch, tmp_path):
+    # 29 boxes at cut 8 exceed dim Gr(8, 9) = 8; multiplying out takes minutes
+    import io
+    from contextlib import redirect_stdout
+
+    from lrflags import cli
+
+    def no_product(*args):
+        raise AssertionError("the product was computed")
+
+    monkeypatch.setattr(oracle, "_top_product", no_product)
+    assert oracle_intersection_number(FULL_FLAG_ZERO_9) == 0
+    path = tmp_path / "full_flag_zero.txt"
+    path.write_text("n = 9\n" + "".join(f"{a}: 1\n" for a, _ in FULL_FLAG_ZERO_9.terms))
+    out = io.StringIO()
+    with redirect_stdout(out):
+        code = cli.main(["verify", str(path)])
+    assert (code, out.getvalue()) == (0, "rule=0 oracle=0 OK\n")

@@ -2,16 +2,26 @@ import re
 
 import pytest
 
-from lrflags.oracle import a_bruhat_leq, monk_multiply, restrict_shape
-from lrflags.partitions import Staircase, fits_in_rectangle
+from lrflags.oracle import (
+    a_bruhat_leq,
+    descent_support_check,
+    monk_multiply,
+    restrict_shape,
+    schubert_expand,
+    sum_of_first_variables,
+)
+from lrflags.partitions import Staircase, fits_in_rectangle, partitions_in_box
 from lrflags.permutations import (
     ValleyPermutation,
     grassmannian_permutation,
+    identity,
+    longest,
     longest_with_descents_in,
     shape_of_grassmannian,
     simple_transposition,
     valley_from_shape,
 )
+from lrflags.polynomials import IntPolynomial
 from lrflags.problems import (
     DimensionMismatchError,
     ProblemError,
@@ -154,6 +164,14 @@ def _validate_quad(alpha):
     return validate_problem(SchubertProblem(4, ((2, (1,)),) * 4), alpha)
 
 
+def _expand_x1(n):
+    return schubert_expand(IntPolynomial.variable(1, 3), n)
+
+
+def _quad_prefix(t):
+    return descent_support_check(SchubertProblem(4, ((2, (1,)),) * 4), t)
+
+
 def _named(value):
     return f"^{re.escape(repr(value))} is not an integer$"
 
@@ -162,9 +180,9 @@ _RANGE = r"^cut position -?\d+ out of range 1\.\.\d+$"
 _SET = r"^alpha \[[\d, ]*\] not contained in 1\.\.\d+$"
 
 
-# every public call that takes a cut, cut set, floor or n: a non-integral
-# value is named, not truncated, computed with or left to a TypeError, and
-# a cut outside 1..n-1 is named too
+# every public call that takes a cut, cut set, floor, n, a box bound or a
+# prefix length: a non-integral value is named, not truncated, computed
+# with or left to a TypeError, and a cut outside 1..n-1 is named too
 _GATED = [
     (dimension, ((2.5,), 5), ProblemError, _named(2.5)),
     (dimension, ((2,), 5.0), ProblemError, _named(5.0)),
@@ -179,6 +197,11 @@ _GATED = [
     (monk_multiply, ((1, 2, 3), 1.5), ValueError, _named(1.5)),
     (restrict_shape, ((2, 1), 2.0, 4), ValueError, _named(2.0)),
     (a_bruhat_leq, ((1, 2, 3), (2, 1, 3), 1.0), ValueError, _named(1.0)),
+    (partitions_in_box, (2.5, 2), ValueError, _named(2.5)),
+    (identity, (2.5,), ValueError, _named(2.5)),
+    (longest, (2.5,), ValueError, _named(2.5)),
+    (_expand_x1, (2.5,), ValueError, _named(2.5)),
+    (_quad_prefix, (1.0,), ProblemError, _named(1.0)),
     (fits_in_rectangle, ((1,), 5, 5), ValueError, _RANGE),
     (grassmannian_permutation, (0, (1,), 4), ValueError, _RANGE),
     (simple_transposition, (4, 4), ValueError, _RANGE),
@@ -186,6 +209,9 @@ _GATED = [
     (monk_multiply, ((1, 2, 3), 3), ValueError, _RANGE),
     (restrict_shape, ((2, 1), 4, 4), ValueError, _RANGE),
     (a_bruhat_leq, ((1, 2, 3), (2, 1, 3), 0), ValueError, _RANGE),
+    (sum_of_first_variables, (4, 4), ValueError, _RANGE),
+    (sum_of_first_variables, (0, 4), ValueError, _RANGE),
+    (sum_of_first_variables, (5, 4), ValueError, _RANGE),
     (_refine_quad, (4,), ProblemError, _RANGE),
     (SchubertProblem, (4, ((4, (1,)),)), ProblemError, _RANGE),
     (dimension, ((2, 5), 5), ProblemError, _SET),
