@@ -27,8 +27,13 @@ as strips, and the count of the fillings otherwise.  That count
 skips the backtracker when the dominance test of :mod:`lrflags.tableaux`
 proves it 0 (McNamara and van Willigenburg, 2009); the caps are that
 test's first partial sums.  The stepper walks only the rows with room
-for a cell of the step: every other row keeps its inner end, so its
-floor is checked once, and a path ends as soon as its cells are placed.
+for a cell of the step: every other row keeps its inner end, and a path
+ends as soon as its cells are placed.  Each row has a floor from the
+later steps' rectangles, by one rule: a row whose inner end lies left
+of its floor must gain cells, so it must be walked, and a path emits
+its shape only once past the last such row.  The shape graph builds one
+floor per next cut ``b`` and cuts it after its last row whose floor
+exceeds the row's offset, never before row ``b``.
 Counting folds the multiplicities into a dynamic program; enumeration
 trims the graph back to the edges that reach the target, lists the
 fillings of those live edges only, once each, and lists chains in
@@ -86,11 +91,16 @@ def _step_shapes(
 
     The step adds ``sum(lam)`` cells for content ``lam``, all within rows
     ``1..a`` and strictly right of grid column ``a - min(alpha)``, staying
-    inside ``target``.  ``floor`` has one entry per target row.  Row ``i``
-    may end only at a grid column ``e`` with ``max(e, offset) >= floor[i]``:
-    left of ``floor[i]`` the later steps cannot complete the row to
-    ``target``.  An all-zero ``floor`` asks nothing.  Results are in
-    ascending lexicographic order.
+    inside ``target``.  Results are in ascending lexicographic order.
+
+    ``floor`` gives row ``i`` a least end: it may end only at a grid column
+    ``e`` with ``max(e, offset) >= floor[i]``, since left of ``floor[i]``
+    the later steps cannot complete the row to ``target``.  One rule
+    follows: a row whose inner end lies left of its floor must gain cells,
+    so it must have room for one, and a path emits its shape only after
+    passing the last such row.  A floor needs entries for at least the
+    first ``min(a, len(target))`` rows; rows past its end, like rows whose
+    floor is at most their offset, ask nothing.
 
     Two caps from the content drop only steps with no Littlewood-Richardson
     filling of content ``lam``.  No row of the step holds more than
@@ -100,11 +110,9 @@ def _step_shapes(
     So one-column contents step by vertical strips, one-row contents by
     horizontal ones.
 
-    The walk visits only the rows with room for a cell.  Every other row
-    keeps its inner end, so its floor is checked once, before the walk.
-    A path ends as soon as its cells are placed: the rows below keep
-    their inner ends, and a suffix table says whether they meet their
-    floors.
+    The walk visits only the rows with room for a cell; every other row
+    keeps its inner end.  A path ends as soon as its cells are placed: the
+    rows below keep their inner ends too.
 
     >>> _step_shapes((), 3, (2, 1), Staircase((3,), 5), (2, 2, 2), (0, 0, 0))
     [(2, 1)]
@@ -116,27 +124,24 @@ def _step_shapes(
     >>> _step_shapes((3, 3, 1), 3, (1,), region, (4, 4, 4), (0, 0, 0))
     [(3, 3, 2), (4, 3, 1)]
     """
-    m = len(target)
-    nu = _pad(inner, m)
+    nu = _pad(inner, len(target))
     # max(end, offset): an empty row starts at its offset, and a nonempty
     # one ends past it
     start = [e or o for e, o in zip(nu, staircase.offsets)]
-    # rows from p on keep their inner ends: p is the first row past the
-    # first a, or the first that starts left of the rectangle's wall; the
-    # rows above the cut's block start left of it too, and the block's rows
-    # cannot end past row p, which ends left of it.  Row i < p gains cells
-    # right of grid column start[i] up to its top: inside the target, at
-    # most lam[0] of them, and not past start[i - len(lam)], or a column
-    # would gain len(lam) + 1 cells.  Only the rows with room are walked;
-    # any other row meets its floor at its inner end or there is no shape.
+    # rows keep their inner ends from the first row past the first a, or
+    # the first that starts left of the rectangle's wall, on: the rows
+    # above the cut's block start left of it too, and the block's rows
+    # cannot end past that row, which ends left of it.  Row i before it
+    # gains cells right of grid column start[i] up to its top: inside the
+    # target, at most lam[0] of them, and not past start[i - len(lam)], or
+    # a column would gain len(lam) + 1 cells.  Only the rows with room are
+    # walked.
     left_wall = a - staircase.alpha[0]
     widest, tallest = (lam[0] if lam else 0), len(lam)
     rows: list[int] = []
     tops: list[int] = []
-    p = min(a, m)
-    for i, (s, top, f) in enumerate(zip(start[:p], target, floor)):
+    for i, (s, top) in enumerate(zip(start[:a], target)):
         if s < left_wall:
-            p = i
             break
         if s + widest < top:
             top = s + widest
@@ -145,21 +150,18 @@ def _step_shapes(
         if top > s:
             rows.append(i)
             tops.append(top)
-        elif s < f:
-            return []
-    if any(s < f for s, f in zip(start[p:], floor[p:])):
+    # the floor's one rule: a row left of its floor must gain cells, so it
+    # must be walked, and a path emits only after the last such row
+    short = [i for i, (s, f) in enumerate(zip(start, floor)) if s < f]
+    if not set(short).issubset(rows):
         return []
-    # per walked row k: slack[k], the cells rows k.. can add, ignoring the
-    # weak-decrease coupling; kept[k], whether rows k.. all meet their
-    # floors at their inner ends
+    last = rows.index(short[-1]) + 1 if short else 0
+    # slack[k]: the cells walked rows k.. can add, ignoring the
+    # weak-decrease coupling
     slack = [0] * (len(rows) + 1)
-    kept = [True] * (len(rows) + 1)
     for k in range(len(rows) - 1, -1, -1):
-        i = rows[k]
-        slack[k] = slack[k + 1] + tops[k] - start[i]
-        kept[k] = kept[k + 1] and start[i] >= floor[i]
+        slack[k] = slack[k + 1] + tops[k] - start[rows[k]]
 
-    size = m - nu.count(0)  # zeros only trail
     out: list[tuple[int, ...]] = []
     current = list(nu)
     # depth first on an explicit stack of (walked row k, its end, cells
@@ -174,9 +176,9 @@ def _step_shapes(
         if not todo:
             # the rows below the last one fixed keep their inner ends; the
             # stale ends other paths left there are never read
-            if kept[k]:
+            if k >= last:
                 j = rows[k - 1] + 1 if k else 0
-                out.append(tuple(current[:j]) + nu[j:size])
+                out.append(tuple(current[:j]) + inner[j:])
             continue
         if todo > slack[k]:
             continue
@@ -253,27 +255,33 @@ def _shape_graph(
     are left out.
     """
     cuts = [a for a, _ in terms]
-    n, alpha0 = staircase.n, staircase.alpha[0]
+    n, alpha0, off = staircase.n, staircase.alpha[0], staircase.offsets
     distinct = set(cuts)
     # reach[r]: the least cut whose rectangle meets row r, n past the last
     reach = [min((c for c in distinct if c > r), default=n) for r in range(len(target))]
     # a target cell a step leaves empty in row r must fit a later step: one
     # at a cut c >= max(b, r + 1), b the next cut, whose left wall
     # c - min(alpha) lies left of the cell.  Walls move right as cuts grow,
-    # so the least such cut binds: b for every row r < b.  Rows r >= b meet
-    # their reach, whose wall in the problem's own region is the row's
-    # offset, so there they ask nothing.  After the last step (b = n) every
-    # row must reach the target.  So a floor depends on b alone.
+    # so the least such cut binds: b for a row r < b, and for r >= b the
+    # row's reach, the same for every b.  After the last step (b = n) every
+    # row must reach the target.  No row ends left of its offset, so a
+    # floor binds only where it exceeds the offset, and each floor is cut
+    # after its last such row, but never before row b: a step at a cut
+    # a <= b reads the floors of the rows before a.  In the problem's own
+    # region a reach's wall is the row's offset, so rows r >= b never bind;
+    # in a wider region or below a valley target they can.  tail[r] is the
+    # floor of row r for every b <= r.
+    tail = [min(t, c - alpha0) for t, c in zip(target, reach)]
+    del tail[max([0] + [r + 1 for r, (f, o) in enumerate(zip(tail, off)) if f > o]) :]
     nexts = cuts[1:] + [n]
-    floors = {b: [min(t, max(b, c) - alpha0) for t, c in zip(target, reach)] for b in set(nexts)}
+    floors = {b: [min(t, b - alpha0) for t in target[:b]] + tail[b:] for b in set(nexts)}
     level = [()]
     for (a, lam), b in zip(terms, nexts):
-        floor = floors[b]
         pieri = len(lam) <= 1 or lam[0] == 1
         edges: dict[tuple[int, ...], list[tuple[tuple[int, ...], int]]] = {}
         for inner in level:
             succ = edges[inner] = []
-            for outer in _step_shapes(inner, a, lam, staircase, target, floor):
+            for outer in _step_shapes(inner, a, lam, staircase, target, floors[b]):
                 if pieri:
                     mult = 1
                 else:
@@ -284,15 +292,34 @@ def _shape_graph(
         level = dict.fromkeys(outer for succ in edges.values() for outer, _ in succ)
 
 
+def _target(problem: SchubertProblem, target: Shape | None) -> Shape:
+    """``target``, by default the full region of the problem's cut set.
+
+    An explicit target must lie in a region the problem's steps can fill:
+    one of the same ``n`` whose cut set holds every cut of the problem.
+    Any other raises ``ProblemError`` naming the mismatch.
+    """
+    if target is None:
+        return Shape.full(problem.staircase)
+    region = target.staircase
+    if region.n != problem.n:
+        raise ProblemError(f"target region is in n={region.n}, problem in n={problem.n}")
+    if not {a for a, _ in problem.terms} <= set(region.alpha):
+        raise ProblemError(f"target alpha {list(region.alpha)} lacks a cut of {list(problem.alpha)}")
+    return target
+
+
 def enumerate_filtered_tableaux(
     problem: SchubertProblem, target: Shape | None = None
 ) -> Iterator[FilteredTableau]:
     """All filtered tableaux for ``problem`` with the given target shape, lazily.
 
     ``target`` defaults to the full staircase region of the problem's cut
-    set.  If the target size differs from the total content size nothing
-    is yielded.  Output order: lexicographic on the chain of embedded
-    diagrams, then lexicographic per-step fillings.
+    set.  A target region of another ``n``, or whose cut set lacks a cut of
+    the problem, raises ``ProblemError`` on the first item drawn.  If the
+    target size differs from the total content size nothing is yielded.
+    Output order: lexicographic on the chain of embedded diagrams, then
+    lexicographic per-step fillings.
 
     Walks the shape graph of :func:`count_filtered_tableaux`, each edge
     carrying its multiplicity, and trims it back to the edges that
@@ -301,8 +328,7 @@ def enumerate_filtered_tableaux(
     chains are walked depth first on an explicit stack, so memory is
     bounded by the graph, not the output.
     """
-    if target is None:
-        target = Shape.full(problem.staircase)
+    target = _target(problem, target)
     staircase = target.staircase
     if target.size != problem.total_size:
         return
@@ -339,10 +365,10 @@ def count_filtered_tableaux(problem: SchubertProblem, target: Shape | None = Non
 
     Folds the same shape graph that :func:`enumerate_filtered_tableaux`
     walks, each edge carrying its Littlewood-Richardson
-    multiplicity from :func:`count_lr_tableaux`.
+    multiplicity from :func:`count_lr_tableaux`, and takes the same
+    targets.
     """
-    if target is None:
-        target = Shape.full(problem.staircase)
+    target = _target(problem, target)
     if target.size != problem.total_size:
         return 0
     ways: dict[tuple[int, ...], int] = {(): 1}
@@ -381,8 +407,7 @@ def valley_coefficient(valley: ValleyPermutation, problem: SchubertProblem) -> i
             f"valley permutation lives in S_{valley.n}, problem in S_{problem.n}"
         )
     full = Staircase(tuple(range(1, problem.n)), problem.n)
-    target = Shape(valley.mu, full)
-    return count_filtered_tableaux(problem, target)
+    return count_filtered_tableaux(problem, Shape(valley.mu, full))
 
 
 def count_monk_chains(problem: SchubertProblem) -> int:

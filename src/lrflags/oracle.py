@@ -1,11 +1,12 @@
 """Independent verification path via Schubert polynomials.
 
-Everything here is classical machinery, deliberately disjoint from the
-filtered-tableau rule: Schubert polynomials built by divided differences
-from the staircase monomial, Monk's formula on permutations, and
-coefficient extraction through Poincare duality.  The only shared
-ingredient is the definition of the Grassmannian permutation attached to
-a term ``(a, lam)``.
+Everything here is classical machinery: Schubert polynomials built by
+divided differences from the staircase monomial, Monk's formula on
+permutations, and coefficient extraction through Poincare duality.  The
+oracle's routes share with the filtered-tableau rule only the definition
+of the Grassmannian permutation attached to a term ``(a, lam)``.
+``coefficient_identity_check`` also reads the rule's Littlewood-Richardson
+count, but only as the other side of its comparison.
 
 Coefficient extraction: the cohomology ring is the polynomial ring
 modulo symmetric functions, and the divided difference of the longest

@@ -170,20 +170,30 @@ def partition_in_rectangle(
 def partitions_in_box(max_rows: int, max_cols: int) -> Iterator[tuple[int, ...]]:
     """All partitions with at most ``max_rows`` rows, each at most ``max_cols``.
 
-    Deterministic order: the empty partition first, then by first row
-    ascending, recursively.  Both bounds are checked on the call, not on
-    the first item drawn.
+    Deterministic order: ascending tuple order, so the empty partition
+    first and each partition just before its extensions.  Both bounds are
+    checked on the call, not on the first item drawn.
+
+    >>> list(partitions_in_box(2, 2))
+    [(), (1,), (1, 1), (2,), (2, 1), (2, 2)]
     """
     return _partitions_in_box(as_int(max_rows), as_int(max_cols))
 
 
 def _partitions_in_box(max_rows: int, max_cols: int) -> Iterator[tuple[int, ...]]:
-    yield ()
-    if max_rows <= 0 or max_cols <= 0:
-        return
-    for first in range(1, max_cols + 1):
-        for rest in _partitions_in_box(max_rows - 1, first):
-            yield (first, *rest)
+    parts: list[int] = []
+    while True:
+        yield tuple(parts)
+        if len(parts) < max_rows and max_cols > 0:
+            parts.append(1)
+            continue
+        # the next partition raises the last part below its cap (the part
+        # above it, or max_cols), dropping the parts after it
+        while parts and parts[-1] == (parts[-2] if len(parts) > 1 else max_cols):
+            parts.pop()
+        if not parts:
+            return
+        parts[-1] += 1
 
 
 def _staircase_rows(alpha: tuple[int, ...], n: int) -> tuple[int, ...]:

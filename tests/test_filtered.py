@@ -247,6 +247,43 @@ def test_step_shapes_matches_brute_force():
     assert calls == 164490
 
 
+def _cut(floor, b, off):
+    """``floor`` cut the way the shape graph cuts it: after its last row
+    whose floor exceeds the row's offset, but never before row ``b``."""
+    return floor[: max([b] + [r + 1 for r, (f, o) in enumerate(zip(floor, off)) if f > o])]
+
+
+def test_step_shapes_takes_cut_floors():
+    # on the brute-force grid, each floor cut the way the shape graph cuts
+    # it (b the next cut), or as short as the stepper allows (b = a, the
+    # step's cut), proposes exactly what the full floor proposes
+    from lrflags.filtered import _step_shapes
+
+    calls = shorter = 0
+    for n in range(2, 6):
+        for r in range(1, n):
+            for alpha in combinations(range(1, n), r):
+                staircase = Staircase(alpha, n)
+                off = staircase.offsets
+                full = staircase.embed(staircase.rows)
+                for target in _shapes_in(staircase, full):
+                    cap = target + (0,) * (len(full) - len(target))
+                    sizes = range(sum(staircase.extract(target)) + 1)
+                    for inner in _shapes_in(staircase, cap):
+                        for a in alpha:
+                            for floor, later in _floors(alpha, n, target, a)[1:]:
+                                cuts = {_cut(floor, later[0] if later else n, off), _cut(floor, a, off)}
+                                for lam in (lam for size in sizes for lam in _contents(size)):
+                                    want = _step_shapes(inner, a, lam, staircase, target, floor)
+                                    for cut in cuts:
+                                        assert _step_shapes(inner, a, lam, staircase, target, cut) == want, (
+                                            n, alpha, target, inner, a, lam, floor, cut
+                                        )
+                                        calls += 1
+                                        shorter += len(cut) < len(floor)
+    assert (calls, shorter) == (143631, 41964)
+
+
 def test_step_shapes_matches_reference_on_taller_regions():
     # the brute force above, on sampled shapes in regions with n = 6..8:
     # there rows with room for a cell often sit between rows without, and
@@ -389,6 +426,46 @@ def test_shape_graph_digest_is_pinned(seven_term_problem, thirteen_box_problem, 
     assert digest.hexdigest() == "2a7732bd08d5ff83d2bc9276b4867af0270fa34d4f6c521f92e365f56aa9d7e3"
 
 
+def test_shape_graph_cuts_each_floor_after_its_last_binding_row(monkeypatch, thirteen_box_problem):
+    # counting the 262 problem and the full flag n = 20, every floor handed
+    # to the stepper is the full floor of its next cut b, ending at
+    # max(b, last row whose floor exceeds its offset + 1)
+    import lrflags.filtered as filtered
+
+    original_graph, original_step_shapes = filtered._shape_graph, filtered._step_shapes
+    level, handed = [0], []
+
+    def graph(terms, staircase, target):
+        level[0] = 0
+        for edges in original_graph(terms, staircase, target):
+            yield edges
+            level[0] += 1
+
+    def step_shapes(inner, a, lam, staircase, target, floor):
+        handed.append((level[0], a, staircase, target, list(floor)))
+        return original_step_shapes(inner, a, lam, staircase, target, floor)
+
+    monkeypatch.setattr(filtered, "_shape_graph", graph)
+    monkeypatch.setattr(filtered, "_step_shapes", step_shapes)
+    full20 = SchubertProblem(20, tuple((a, (1,)) for a in range(1, 20) for _ in range(20 - a)))
+    counts = []
+    for problem in (thirteen_box_problem, full20):
+        handed.clear()
+        assert count_filtered_tableaux(problem) == (262 if problem is thirteen_box_problem else 1)
+        nexts = [a for a, _ in problem.terms[1:]] + [problem.n]
+        rows = short = 0
+        for k, a, staircase, target, floor in handed:
+            b = nexts[k]
+            floors = _floors(staircase.alpha, problem.n, target, a)[1:]
+            full = next(f for f, later in floors if (later[0] if later else problem.n) == b)
+            assert floor == list(_cut(full, b, staircase.offsets)), (problem.n, k, a)
+            rows += len(floor)
+            short += len(floor) < len(target)
+        counts.append((len(handed), rows, short))
+    # calls, floor rows handed over and floors cut short of the target
+    assert counts == [(27, 87, 17), (190, 1348, 188)]
+
+
 def test_count_matches_enumeration(six_box_problem, seven_term_problem, five_factor_problem):
     for problem in (six_box_problem, seven_term_problem, five_factor_problem):
         assert count_filtered_tableaux(problem) == len(list(enumerate_filtered_tableaux(problem)))
@@ -482,6 +559,29 @@ def test_size_mismatch_gives_empty_list(six_box_problem):
     target = Shape((2, 1), six_box_problem.staircase)
     assert list(enumerate_filtered_tableaux(six_box_problem, target)) == []
     assert count_filtered_tableaux(six_box_problem, target) == 0
+
+
+@pytest.mark.parametrize(
+    "problem, target, named",
+    [
+        # a class at cut 1 has no pullback to Gr(2, 4)
+        (
+            SchubertProblem(4, ((1, (1,)),) * 2),
+            Shape((2,), Staircase((2,), 4)),
+            r"alpha \[2\] lacks a cut of \[1\]",
+        ),
+        # an n = 4 problem counted in an n = 5 region
+        (SchubertProblem(4, ((2, (1,)),) * 4), Shape((2, 2), Staircase((2,), 5)), "n=5, problem in n=4"),
+    ],
+)
+def test_target_outside_the_problem_flag_manifold_raises(problem, target, named):
+    # counting and listing share one gate; listing stays lazy, so it raises
+    # on the first item drawn
+    with pytest.raises(ProblemError, match=named):
+        count_filtered_tableaux(problem, target)
+    tableaux = enumerate_filtered_tableaux(problem, target)
+    with pytest.raises(ProblemError, match=named):
+        next(tableaux)
 
 
 def test_superset_alpha_vanishes():

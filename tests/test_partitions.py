@@ -1,3 +1,5 @@
+from math import comb
+
 import pytest
 
 from lrflags.partitions import (
@@ -69,6 +71,22 @@ def test_partitions_in_box_counts():
     assert len(list(partitions_in_box(2, 2))) == 6
     assert len(list(partitions_in_box(3, 2))) == 10
     assert list(partitions_in_box(0, 5)) == [()]
+
+
+def test_partitions_in_box_lists_every_box_in_ascending_order():
+    # the empty partition first, then ascending tuple order, with
+    # binomial(rows + cols, rows) members, for every box up to 6 x 6
+    for rows in range(7):
+        for cols in range(7):
+            listed = list(partitions_in_box(rows, cols))
+            assert listed[0] == ()
+            assert all(p < q for p, q in zip(listed, listed[1:])), (rows, cols)
+            assert len(listed) == comb(rows + cols, rows), (rows, cols)
+
+
+def test_partitions_in_box_tall_box_needs_no_recursion():
+    # one row per level of a recursion would overflow the stack here
+    assert list(partitions_in_box(1200, 1)) == [(1,) * k for k in range(1201)]
 
 
 def test_staircase_row_examples():
