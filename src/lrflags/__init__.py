@@ -21,6 +21,7 @@ from .tableaux import (
     SkewShape,
     SkewTableau,
     count_lr_tableaux,
+    dominance_zero,
     enumerate_lr_tableaux,
     is_ballot,
     is_lr_tableau,
@@ -72,8 +73,8 @@ __version__ = "0.1.0"
 __all__ = [
     "Shape", "Staircase", "conjugate", "contains", "fits_in_rectangle",
     "normalize_partition", "partitions_in_box",
-    "SkewShape", "SkewTableau", "count_lr_tableaux", "enumerate_lr_tableaux",
-    "is_ballot", "is_lr_tableau",
+    "SkewShape", "SkewTableau", "count_lr_tableaux", "dominance_zero",
+    "enumerate_lr_tableaux", "is_ballot", "is_lr_tableau",
     "ValleyPermutation", "descent_set", "grassmannian_permutation",
     "longest_with_descents_in", "shape_of_grassmannian",
     "valley_from_permutation", "valley_from_shape",

@@ -20,13 +20,16 @@ of the Schubert class of ``w``.
 Shapes travel through this module as embedded diagrams (see
 :mod:`lrflags.partitions`): ordinary partitions recording, per region
 row, the grid column of the last cell.  Counting and enumeration share
-one walk of the shape graph (``_shape_graph``), each edge carrying its
-Littlewood-Richardson multiplicity: 1 by Pieri's rule for a one-row or
-one-column content, whose steps the stepper's row and column caps leave
-as strips, and the count of the fillings otherwise.  That count
-skips the backtracker when the dominance test of :mod:`lrflags.tableaux`
-proves it 0 (McNamara and van Willigenburg, 2009); the caps are that
-test's first partial sums.  The stepper walks only the rows with room
+one walk of the shape graph (``_shape_graph``) in two passes.  The
+forward pass steps from the empty shape and weighs nothing: it keeps
+every proposed step except those the dominance test of
+:mod:`lrflags.tableaux` proves to have no Littlewood-Richardson filling
+(McNamara and van Willigenburg, 2009).  The backward pass starts at the
+target and weighs only live edges, those into a shape that reaches the
+target: at 1 by Pieri's rule for a one-row or one-column content, whose
+steps the stepper's row and column caps leave as strips (the caps are
+the dominance test's first partial sums), and by the count or list of
+the fillings otherwise.  The stepper walks only the rows with room
 for a cell of the step: every other row keeps its inner end, and a path
 ends as soon as its cells are placed.  Each row has a floor from the
 later steps' rectangles, by one rule: a row whose inner end lies left
@@ -34,11 +37,11 @@ of its floor must gain cells, so it must be walked, and a path emits
 its shape only once past the last such row.  The shape graph builds one
 floor per next cut ``b`` and cuts it after its last row whose floor
 exceeds the row's offset, never before row ``b``.
-Counting folds the multiplicities into a dynamic program; enumeration
-trims the graph back to the edges that reach the target, lists the
-fillings of those live edges only, once each, and lists chains in
-lexicographic order on those diagrams, fillings in row-major
-lexicographic order per step.
+Counting folds the multiplicities of the live edges into a dynamic
+program from the target back to the empty shape; enumeration lists the
+fillings of the live edges only, once each, drops an edge with none,
+and lists chains in lexicographic order on those diagrams, fillings in
+row-major lexicographic order per step.
 """
 
 from __future__ import annotations
@@ -50,7 +53,14 @@ from typing import Iterator, Sequence
 from .partitions import Shape, Staircase
 from .permutations import ValleyPermutation, check_permutation
 from .problems import ProblemError, SchubertProblem, validate_problem
-from .tableaux import SkewShape, SkewTableau, count_lr_tableaux, enumerate_lr_tableaux, is_lr_tableau
+from .tableaux import (
+    SkewShape,
+    SkewTableau,
+    count_lr_tableaux,
+    dominance_zero,
+    enumerate_lr_tableaux,
+    is_lr_tableau,
+)
 
 __all__ = [
     "FilteredTableau",
@@ -74,9 +84,7 @@ def _step_inner(outer: tuple[int, ...], inner: tuple[int, ...], staircase: Stair
     the boundary is ``max(inner, offset)`` per row, clipped to ``outer``;
     for legal steps it is itself a partition.
     """
-    padded = _pad(inner, len(outer))
-    off = staircase.offsets
-    return tuple(min(outer[i], max(padded[i], off[i])) for i in range(len(outer)))
+    return tuple(map(min, outer, map(max, _pad(inner, len(outer)), staircase.offsets)))
 
 
 def _step_shapes(
@@ -124,7 +132,9 @@ def _step_shapes(
     >>> _step_shapes((3, 3, 1), 3, (1,), region, (4, 4, 4), (0, 0, 0))
     [(3, 3, 2), (4, 3, 1)]
     """
-    nu = _pad(inner, len(target))
+    # only the floor's rows are read: it covers every row the walk visits
+    m = min(len(floor), len(target))
+    nu = _pad(inner[:m], m)
     # max(end, offset): an empty row starts at its offset, and a nonempty
     # one ends past it
     start = [e or o for e, o in zip(nu, staircase.offsets)]
@@ -236,23 +246,30 @@ class FilteredTableau:
                 raise ValueError(f"filling {i + 1} is not an LR tableau of content {lam}")
 
 
+def _pieri(lam: tuple[int, ...]) -> bool:
+    """Whether ``lam`` is one row or one column: every step the stepper
+    proposes for it is a strip, with multiplicity 1 by Pieri's rule."""
+    return len(lam) <= 1 or lam[0] == 1
+
+
 def _shape_graph(
     terms: Sequence[tuple[int, tuple[int, ...]]],
     staircase: Staircase,
     target: tuple[int, ...],
-) -> Iterator[dict[tuple[int, ...], list[tuple[tuple[int, ...], int]]]]:
-    """The shape graph, one step at a time.
+) -> Iterator[dict[tuple[int, ...], list[tuple[int, ...]]]]:
+    """The shape graph, forward, one step at a time, with no multiplicity.
 
     For each term, yields every inner shape reachable from the empty
-    shape, mapped to its successors in ascending lexicographic order, each
-    with the Littlewood-Richardson multiplicity of its skew step.
-    Successors that cannot host the remaining steps, or whose step has a
-    row longer than ``lam[0]`` or a column taller than ``len(lam)``, are
-    never proposed (see :func:`_step_shapes`).  For a one-row or
-    one-column content one cap is 1, so every step is a strip with
-    multiplicity 1 by Pieri's rule; any other content takes one
-    :func:`count_lr_tableaux` call per edge.  Edges of multiplicity 0
-    are left out.
+    shape, mapped to its successors in ascending lexicographic order; the
+    next level is every successor.  Successors that cannot host the
+    remaining steps, or whose step has a row longer than ``lam[0]`` or a
+    column taller than ``len(lam)``, are never proposed (see
+    :func:`_step_shapes`).  For a one-row or one-column content one cap is
+    1, so every step is a strip with multiplicity 1 by Pieri's rule; for
+    any other content the successors whose step :func:`dominance_zero`
+    proves to have no filling are left out.  An edge kept here may still
+    have multiplicity 0 or lead nowhere: the callers weigh or list only
+    the edges into shapes that reach the target, walking back from it.
     """
     cuts = [a for a, _ in terms]
     n, alpha0, off = staircase.n, staircase.alpha[0], staircase.offsets
@@ -277,19 +294,18 @@ def _shape_graph(
     floors = {b: [min(t, b - alpha0) for t in target[:b]] + tail[b:] for b in set(nexts)}
     level = [()]
     for (a, lam), b in zip(terms, nexts):
-        pieri = len(lam) <= 1 or lam[0] == 1
-        edges: dict[tuple[int, ...], list[tuple[tuple[int, ...], int]]] = {}
+        pieri = _pieri(lam)
+        edges: dict[tuple[int, ...], list[tuple[int, ...]]] = {}
         for inner in level:
-            succ = edges[inner] = []
-            for outer in _step_shapes(inner, a, lam, staircase, target, floors[b]):
-                if pieri:
-                    mult = 1
-                else:
-                    mult = count_lr_tableaux(outer, _step_inner(outer, inner, staircase), lam)
-                if mult:
-                    succ.append((outer, mult))
+            succ = _step_shapes(inner, a, lam, staircase, target, floors[b])
+            if not pieri:
+                succ = [
+                    outer for outer in succ
+                    if not dominance_zero(outer, _step_inner(outer, inner, staircase), lam)
+                ]
+            edges[inner] = succ
         yield edges
-        level = dict.fromkeys(outer for succ in edges.values() for outer, _ in succ)
+        level = dict.fromkeys(outer for succ in edges.values() for outer in succ)
 
 
 def _target(problem: SchubertProblem, target: Shape | None) -> Shape:
@@ -321,12 +337,13 @@ def enumerate_filtered_tableaux(
     Output order: lexicographic on the chain of embedded diagrams, then
     lexicographic per-step fillings.
 
-    Walks the shape graph of :func:`count_filtered_tableaux`, each edge
-    carrying its multiplicity, and trims it back to the edges that
-    reach the target.  Only then are the fillings of each live edge
-    listed, once; every tableau through the edge shares that list.  The
-    chains are walked depth first on an explicit stack, so memory is
-    bounded by the graph, not the output.
+    Walks the shape graph of :func:`count_filtered_tableaux` forward,
+    then trims it back from the target: level by level, it lists the
+    fillings of each edge into a shape that reaches the target, once, and
+    drops the edge if it has none.  Every tableau through an edge shares
+    its list, and no multiplicity is counted apart from it.  The chains
+    are walked depth first on an explicit stack, so memory is bounded by
+    the graph, not the output.
     """
     target = _target(problem, target)
     staircase = target.staircase
@@ -341,7 +358,9 @@ def enumerate_filtered_tableaux(
     for k in range(len(steps) - 1, -1, -1):
         lam = problem.terms[k][1]
         steps[k] = {
-            inner: [(outer, fillings(outer, inner, lam)) for outer, _ in succ if outer in live]
+            inner: [
+                (outer, found) for outer in succ if outer in live and (found := fillings(outer, inner, lam))
+            ]
             for inner, succ in steps[k].items()
         }
         live = {inner for inner, succ in steps[k].items() if succ}
@@ -363,22 +382,33 @@ def enumerate_filtered_tableaux(
 def count_filtered_tableaux(problem: SchubertProblem, target: Shape | None = None) -> int:
     """Number of filtered tableaux, by dynamic programming over shapes.
 
-    Folds the same shape graph that :func:`enumerate_filtered_tableaux`
-    walks, each edge carrying its Littlewood-Richardson
-    multiplicity from :func:`count_lr_tableaux`, and takes the same
-    targets.
+    Walks the same shape graph as :func:`enumerate_filtered_tableaux`
+    forward, takes the same targets, and folds the graph backward from
+    the target: ``ways[inner]`` is the sum of ``mult * ways[outer]`` over
+    the successors with nonzero ``ways``.  Only those edges are weighed,
+    at 1 for a one-row or one-column content and by
+    :func:`count_lr_tableaux` otherwise, so no multiplicity is counted on
+    an edge that leads nowhere.
     """
     target = _target(problem, target)
     if target.size != problem.total_size:
         return 0
-    ways: dict[tuple[int, ...], int] = {(): 1}
-    for edges in _shape_graph(problem.terms, target.staircase, target.embedded):
-        nxt: dict[tuple[int, ...], int] = {}
+    staircase = target.staircase
+    steps = list(_shape_graph(problem.terms, staircase, target.embedded))
+    ways: dict[tuple[int, ...], int] = {target.embedded: 1}
+    for (_, lam), edges in zip(reversed(problem.terms), reversed(steps)):
+        pieri = _pieri(lam)
+        back: dict[tuple[int, ...], int] = {}
         for inner, succ in edges.items():
-            for outer, mult in succ:
-                nxt[outer] = nxt.get(outer, 0) + ways[inner] * mult
-        ways = nxt
-    return ways.get(target.embedded, 0)
+            total = 0
+            for outer in succ:
+                if outer in ways:
+                    mult = 1 if pieri else count_lr_tableaux(outer, _step_inner(outer, inner, staircase), lam)
+                    total += ways[outer] * mult
+            if total:
+                back[inner] = total
+        ways = back
+    return ways.get((), 0)
 
 
 def intersection_number(

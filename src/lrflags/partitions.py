@@ -117,9 +117,7 @@ def normalize_partition(rows: Iterable[int]) -> tuple[int, ...]:
 
 def contains(outer: tuple[int, ...], inner: tuple[int, ...]) -> bool:
     """True iff ``inner`` fits inside ``outer`` row by row."""
-    if len(inner) > len(outer):
-        return False
-    return all(inner[i] <= outer[i] for i in range(len(inner)))
+    return len(inner) <= len(outer) and all(map(ge, outer, inner))
 
 
 def conjugate(partition: tuple[int, ...]) -> tuple[int, ...]:

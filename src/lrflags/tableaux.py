@@ -26,12 +26,12 @@ filling it lists still passes :func:`is_lr_tableau`, one pass over the
 rows.
 
 Before it runs the backtracker, :func:`count_lr_tableaux` applies the
-dominance test: ``c^{outer/inner}_{lam} = 0`` unless the sorted row
-lengths of the skew shape are dominated by ``lam`` and its sorted column
-lengths by the conjugate of ``lam``, since the Schur support of a skew
-Schur function lies in that dominance interval (McNamara and van
-Willigenburg, *Towards a combinatorial classification of skew Schur
-functions*, 2009).
+dominance test, public as :func:`dominance_zero`:
+``c^{outer/inner}_{lam} = 0`` unless the sorted row lengths of the skew
+shape are dominated by ``lam`` and its sorted column lengths by the
+conjugate of ``lam``, since the Schur support of a skew Schur function
+lies in that dominance interval (McNamara and van Willigenburg, *Towards
+a combinatorial classification of skew Schur functions*, 2009).
 """
 
 from __future__ import annotations
@@ -50,6 +50,7 @@ __all__ = [
     "is_lr_tableau",
     "enumerate_lr_tableaux",
     "count_lr_tableaux",
+    "dominance_zero",
 ]
 
 
@@ -296,15 +297,14 @@ def enumerate_lr_tableaux(shape: SkewShape, lam: Iterable[int]) -> list[SkewTabl
 
 
 def _dominance_zero(outer: tuple[int, ...], inner: tuple[int, ...], lam: tuple[int, ...]) -> bool:
-    """Whether dominance alone shows ``c^{outer/inner}_{lam} = 0``.
+    """:func:`dominance_zero` on normalized partitions with ``inner`` inside
+    ``outer``.
 
-    The three partitions must be normalized, with ``inner`` inside
-    ``outer`` and ``|outer| - |inner| == |lam|``.  The coefficient is 0
-    unless the skew's row lengths, sorted, are dominated by ``lam`` (each
-    partial sum at most ``lam``'s) and its column lengths, sorted, by the
-    conjugate of ``lam``.  The first partial sums are the stepper's two
-    caps, row ``<= lam[0]`` and column ``<= len(lam)``.
+    The first partial sums of the test are the stepper's two caps, row
+    ``<= lam[0]`` and column ``<= len(lam)``.
     """
+    if sum(outer) - sum(inner) != sum(lam):
+        return True
     if not lam:  # the empty skew shape, with its one empty filling
         return False
     widths = list(map(sub, outer, inner))
@@ -330,6 +330,28 @@ def _dominance_zero(outer: tuple[int, ...], inner: tuple[int, ...], lam: tuple[i
     return any(map(lt, accumulate(accumulate(cols)), accumulate(heights)))
 
 
+def dominance_zero(outer: Iterable[int], inner: Iterable[int], lam: Iterable[int]) -> bool:
+    """Whether the sizes or the dominance test show ``c^{outer/inner}_{lam} = 0``.
+
+    Each argument is normalized; ``inner`` not inside ``outer`` raises
+    ``ValueError``.  The coefficient is 0 if ``|outer| - |inner|`` is not
+    ``|lam|``.  It is also 0 unless the skew's row lengths, sorted, are
+    dominated by ``lam`` (each partial sum at most ``lam``'s) and its
+    column lengths, sorted, by the conjugate of ``lam``.  ``False`` leaves
+    the coefficient open.  Here the rows ``(2, 2)`` are dominated by
+    ``(3, 1)``, but the columns ``(2, 2)`` are not by ``(2, 1, 1)``; the
+    rows ``(1, 1)`` of ``(2, 1) / (1)`` pass both tests, and the
+    coefficient is 1:
+
+    >>> dominance_zero((2, 2), (), (3, 1))
+    True
+    >>> dominance_zero([2, 1, 0], [1], (1, 1))
+    False
+    """
+    outer, inner = _nested(outer, inner)
+    return _dominance_zero(outer, inner, normalize_partition(lam))
+
+
 def count_lr_tableaux(
     outer: tuple[int, ...], inner: tuple[int, ...], lam: tuple[int, ...]
 ) -> int:
@@ -338,17 +360,14 @@ def count_lr_tableaux(
     It is the number of leaves of the backtracker that
     :func:`enumerate_lr_tableaux` lists, counted without building a
     tableau.  Each argument is normalized once; ``inner`` not inside
-    ``outer`` raises ``ValueError``.  When the sizes match, the
-    backtracker runs only if the dominance test (see the module
-    docstring; McNamara and van Willigenburg, 2009) leaves the
-    coefficient open.  Here the rows ``(2, 2)`` are dominated by
-    ``(3, 1)``, but the columns ``(2, 2)`` are not by ``(2, 1, 1)``:
+    ``outer`` raises ``ValueError``.  The backtracker runs only if
+    :func:`dominance_zero` leaves the coefficient open:
 
     >>> count_lr_tableaux((2, 2), (), (3, 1))
     0
     """
     outer, inner = _nested(outer, inner)
     lam = normalize_partition(lam)
-    if sum(outer) - sum(inner) != sum(lam) or _dominance_zero(outer, inner, lam):
+    if _dominance_zero(outer, inner, lam):
         return 0
     return sum(1 for _ in _lr_fillings(outer, inner, lam))

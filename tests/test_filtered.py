@@ -78,42 +78,134 @@ def test_enumerate_lists_each_edge_once(monkeypatch, six_box_problem, seven_term
 def test_enumerate_lists_only_live_edges(
     monkeypatch, six_box_problem, seven_term_problem, thirteen_box_problem, five_factor_problem
 ):
-    # the walk weighs every candidate edge the stepper proposes; fillings are
-    # listed only on the edges some tableau passes through, once each
+    # enumerate weighs no edge apart from listing it: it never asks
+    # count_lr_tableaux, lists each edge at most once, and only edges into a
+    # shape with a path of nonzero edges to the target.  An edge whose zero
+    # the dominance test misses is learned by listing it, and a shape
+    # reached only through such edges can still complete to the target, so
+    # listings may exceed the edges tableaux pass through
     import lrflags.filtered as filtered
 
-    calls = Counter()
-    for name in ("count_lr_tableaux", "enumerate_lr_tableaux"):
-        original = getattr(filtered, name)
-
-        def counting(*args, _name=name, _original=original):
-            calls[_name] += 1
-            return _original(*args)
-
-        monkeypatch.setattr(filtered, name, counting)
+    calls, listed = Counter(), Counter()
+    original_count, original_list = filtered.count_lr_tableaux, filtered.enumerate_lr_tableaux
     original_step_shapes = filtered._step_shapes
+
+    def counting(*args):
+        calls["count_lr_tableaux"] += 1
+        return original_count(*args)
+
+    def listing(shape, lam):
+        listed[shape, tuple(lam)] += 1
+        return original_list(shape, lam)
 
     def proposing(*args):
         proposed = original_step_shapes(*args)
         calls["proposed"] += len(proposed)
         return proposed
 
+    monkeypatch.setattr(filtered, "count_lr_tableaux", counting)
+    monkeypatch.setattr(filtered, "enumerate_lr_tableaux", listing)
     monkeypatch.setattr(filtered, "_step_shapes", proposing)
-    candidates, weighed = {}, {}
-    for problem in (six_box_problem, seven_term_problem, thirteen_box_problem, five_factor_problem):
+    # on Gr(3, 7) a shape's only edges into shapes that complete to the
+    # target have no filling, though the dominance test misses it
+    gr37 = SchubertProblem(7, ((3, (2, 1)), (3, (1,)), (3, (3, 3, 1)), (3, (1,))))
+    totals = []
+    for problem in (six_box_problem, seven_term_problem, thirteen_box_problem, five_factor_problem, gr37):
         calls.clear()
+        listed.clear()
         tableaux = list(enumerate_filtered_tableaux(problem))
         live = {(k, ft.chain[k], ft.chain[k + 1]) for ft in tableaux for k in range(len(problem.terms))}
-        assert calls["enumerate_lr_tableaux"] == len(live)
-        candidates[problem] = calls["proposed"]
-        weighed[problem] = calls["count_lr_tableaux"]
-        assert candidates[problem] >= len(live)
-    # the 18 problem has dead edges: 24 candidates, 21 of them live; only its
-    # 11 candidates of content (2, 2) or (2, 1) ask count_lr_tableaux, and
-    # all-box problems never do
-    assert candidates[seven_term_problem] == 24
-    assert weighed[seven_term_problem] == 11
-    assert weighed[six_box_problem] == weighed[thirteen_box_problem] == 0
+        assert calls["count_lr_tableaux"] == 0
+        assert max(listed.values()) == 1, listed.most_common(3)
+        assert calls["proposed"] >= sum(listed.values()) >= len(live)
+        totals.append((calls["proposed"], sum(listed.values()), len(live)))
+        target = Shape.full(problem.staircase).embedded
+        completing = _completing(_weighed(problem.terms, problem.staircase, target), target)
+        assert {shape.outer for shape, _ in listed} <= completing
+    # (proposals, listings, edges tableaux pass through): the 18 problem
+    # lists 2 edges no tableau passes through, one into (5, 2, 2) whose
+    # (2, 2) step has no filling, and the one out of that shape; Gr(3, 7)
+    # lists one edge with no filling
+    assert totals == [(8, 8, 8), (25, 23, 21), (42, 42, 42), (9, 9, 9), (8, 7, 6)]
+
+
+def _weighed(terms, region, target):
+    """Every level of ``_shape_graph``, each edge with the multiplicity
+    ``count_lr_tableaux`` gives its step; edges of multiplicity 0 dropped."""
+    from lrflags.filtered import _shape_graph, _step_inner
+    from lrflags.tableaux import count_lr_tableaux
+
+    levels = []
+    for (_, lam), step in zip(terms, _shape_graph(terms, region, target)):
+        weighed = {}
+        for inner, succ in step.items():
+            mults = [count_lr_tableaux(outer, _step_inner(outer, inner, region), lam) for outer in succ]
+            weighed[inner] = [(outer, m) for outer, m in zip(succ, mults) if m]
+        levels.append(weighed)
+    return levels
+
+
+def _reference_levels(terms, region, target):
+    """The shape graph as a forward walk that weighs every edge builds it:
+    from the empty shape through nonzero edges only, each level's inner
+    shapes in the order their first edge reached them."""
+    level = [()]
+    for step in _weighed(terms, region, target):
+        kept = {inner: step[inner] for inner in level}
+        yield kept
+        level = dict.fromkeys(outer for succ in kept.values() for outer, _ in succ)
+
+
+def _completing(levels, target):
+    """The shapes, at any level past the first, with a path of nonzero
+    edges to ``target``."""
+    live, seen = {target}, set()
+    for step in reversed(levels):
+        seen |= live
+        live = {inner for inner, succ in step.items() if any(outer in live for outer, _ in succ)}
+    return seen
+
+
+def test_count_weighs_only_live_edges(monkeypatch, seven_term_problem, five_factor_problem):
+    # count_lr_tableaux runs at most once per edge, and only on edges into a
+    # shape with a path of nonzero edges to the target; the backward fold
+    # agrees with a forward one over the reference levels
+    import lrflags.filtered as filtered
+    from conftest import random_valid_problem
+
+    weighed = []
+    original = filtered.count_lr_tableaux
+
+    def counting(outer, inner, lam):
+        weighed.append((outer, inner))
+        return original(outer, inner, lam)
+
+    monkeypatch.setattr(filtered, "count_lr_tableaux", counting)
+    rng = random.Random(2401)
+    problems = [seven_term_problem, five_factor_problem]
+    problems += [random_valid_problem(rng, n) for n in (8, 9) for _ in range(12)]
+    totals = []
+    for problem in problems:
+        weighed.clear()
+        answer = count_filtered_tableaux(problem)
+        region = problem.staircase
+        target = Shape.full(region).embedded
+        assert len(set(weighed)) == len(weighed)
+        assert {outer for outer, _ in weighed} <= _completing(_weighed(problem.terms, region, target), target)
+        ways = {(): 1}
+        for step in _reference_levels(problem.terms, region, target):
+            forward = Counter()
+            for inner, succ in step.items():
+                for outer, mult in succ:
+                    forward[outer] += ways[inner] * mult
+            ways = forward
+        assert answer == ways[target]
+        totals.append(len(weighed))
+    # count_lr_tableaux calls per problem: the 18 problem weighs 12 edges,
+    # one of them out of a shape reached only through an edge of
+    # multiplicity 0; all-box and Pieri-only problems weigh none
+    assert totals[:2] == [12, 3]
+    assert totals[2:] == [0, 3, 0, 1, 0, 10, 0, 15, 0, 0, 0, 0, 3, 0, 2, 0, 0, 0, 8, 0, 0, 0, 2, 0]
 
 
 def _hosted(emb, target, off, later, alpha0):
@@ -390,21 +482,23 @@ def test_shape_graph_keeps_only_hostable_edges():
     # missing target cell to a later step of the problem
     from lrflags.filtered import _shape_graph
 
-    edges = 0
+    proposed = edges = 0
     for terms, full, target in _valley_graphs(11, 4):
         for k, step in enumerate(_shape_graph(terms, full, target)):
-            for outer, _ in (edge for succ in step.values() for edge in succ):
+            for outer in (outer for succ in step.values() for outer in succ):
                 assert _hosted(outer, target, full.offsets, [a for a, _ in terms[k + 1 :]], 1)
-                edges += 1
+                proposed += 1
+        edges += sum(len(succ) for step in _reference_levels(terms, full, target) for succ in step.values())
     assert edges == 106
+    assert proposed >= edges
 
 
 def test_shape_graph_digest_is_pinned(seven_term_problem, thirteen_box_problem, five_factor_problem):
     # every level of the shape graph (each inner shape with its successors
-    # and their multiplicities, in order) hashed over fixed problems: a
-    # change to the stepper, its floors or the LR multiplicities that moves,
-    # adds, drops or reorders any edge changes the digest
-    from lrflags.filtered import _shape_graph
+    # and their multiplicities, in order) as a forward walk that weighs each
+    # edge builds it from _shape_graph, hashed over fixed problems: a change
+    # to the stepper, its floors or the LR multiplicities that moves, adds,
+    # drops or reorders any edge changes the digest
 
     full20 = SchubertProblem(20, tuple((a, (1,)) for a in range(1, 20) for _ in range(20 - a)))
     gr36 = SchubertProblem(6, ((3, (1,)),) * 9)
@@ -418,7 +512,7 @@ def test_shape_graph_digest_is_pinned(seven_term_problem, thirteen_box_problem, 
     digest, levels, edges = hashlib.sha256(), 0, 0
     for terms, region, target in graphs:
         digest.update(repr((terms, region, target)).encode())
-        for step in _shape_graph(terms, region, target):
+        for step in _reference_levels(terms, region, target):
             digest.update(repr(list(step.items())).encode())
             levels += 1
             edges += sum(map(len, step.values()))
