@@ -24,14 +24,18 @@ one walk of the shape graph (``_shape_graph``) in two passes.  The
 forward pass steps from the empty shape and weighs nothing: it keeps
 every proposed step except those the dominance test of
 :mod:`lrflags.tableaux` proves to have no Littlewood-Richardson filling
-(McNamara and van Willigenburg, 2009).  The backward pass starts at the
-target and weighs only live edges, those into a shape that reaches the
-target: at 1 by Pieri's rule for a one-row or one-column content, whose
-steps the stepper's row and column caps leave as strips (the caps are
-the dominance test's first partial sums), and by the count or list of
-the fillings otherwise.  The stepper walks only the rows with room
-for a cell of the step: every other row keeps its inner end, and a path
-ends as soon as its cells are placed.  Each row has a floor from the
+(McNamara and van Willigenburg, 2009).  It computes each such step's
+skew once, tests it as the stepper gives it, with no normalizing, and
+keeps it with the edge.  The backward pass starts at the target and
+weighs only live edges, those into a shape that reaches the target: at
+1 by Pieri's rule for a one-row or one-column content, whose steps the
+stepper's row and column caps leave as strips (the caps are the
+dominance test's first partial sums), and by the count or list of the
+fillings on the carried skew otherwise.  The stepper walks only the
+rows with room for a cell of the step: every other row keeps its inner
+end, a path ends as soon as its cells are placed, and no row takes an
+end that leaves the rows below it more cells than they have room for.
+Each row has a floor from the
 later steps' rectangles, by one rule: a row whose inner end lies left
 of its floor must gain cells, so it must be walked, and a path emits
 its shape only once past the last such row.  The shape graph builds one
@@ -56,8 +60,8 @@ from .problems import ProblemError, SchubertProblem, validate_problem
 from .tableaux import (
     SkewShape,
     SkewTableau,
+    _dominance_zero,
     count_lr_tableaux,
-    dominance_zero,
     enumerate_lr_tableaux,
     is_lr_tableau,
 )
@@ -120,7 +124,10 @@ def _step_shapes(
 
     The walk visits only the rows with room for a cell; every other row
     keeps its inner end.  A path ends as soon as its cells are placed: the
-    rows below keep their inner ends too.
+    rows below keep their inner ends too.  Each walked row's range starts
+    where the walked rows below can take the cells still left, so no
+    branch is pushed that cannot place them all, and a step with more
+    cells than the walked rows have room for returns ``[]`` at once.
 
     >>> _step_shapes((), 3, (2, 1), Staircase((3,), 5), (2, 2, 2), (0, 0, 0))
     [(2, 1)]
@@ -171,13 +178,19 @@ def _step_shapes(
     slack = [0] * (len(rows) + 1)
     for k in range(len(rows) - 1, -1, -1):
         slack[k] = slack[k + 1] + tops[k] - start[rows[k]]
+    size = sum(lam)
+    if size > slack[0]:
+        return []
 
     out: list[tuple[int, ...]] = []
     current = list(nu)
     # depth first on an explicit stack of (walked row k, its end, cells
     # left); a popped entry fixes current[rows[k]], and children are pushed
-    # largest first, so shapes come out in ascending lexicographic order
-    stack = [(-1, 0, sum(lam))]
+    # largest first, so shapes come out in ascending lexicographic order.
+    # Every child leaves at most slack[k + 1] cells to the rows below it:
+    # a row ends at least todo - slack[k + 1] cells past its start, and
+    # keeps its inner end only if the rows below can take all todo
+    stack = [(-1, 0, size)]
     while stack:
         k, e, todo = stack.pop()
         if k >= 0:
@@ -190,14 +203,13 @@ def _step_shapes(
                 j = rows[k - 1] + 1 if k else 0
                 out.append(tuple(current[:j]) + inner[j:])
             continue
-        if todo > slack[k]:
-            continue
         i = rows[k]
         s = start[i]
         above = current[i - 1] if i else staircase.width  # weak decrease
-        ends = range(min(tops[k], above, s + todo), max(s, floor[i] - 1), -1)
-        stack.extend((k, e, todo + s - e) for e in ends)
-        if s >= floor[i]:
+        below = slack[k + 1]
+        ends = range(min(tops[k], above, s + todo), max(s, floor[i] - 1, s + todo - below - 1), -1)
+        stack += [(k, e, todo + s - e) for e in ends]
+        if s >= floor[i] and todo <= below:
             stack.append((k, nu[i], todo))
     return out
 
@@ -260,16 +272,21 @@ def _shape_graph(
     """The shape graph, forward, one step at a time, with no multiplicity.
 
     For each term, yields every inner shape reachable from the empty
-    shape, mapped to its successors in ascending lexicographic order; the
-    next level is every successor.  Successors that cannot host the
-    remaining steps, or whose step has a row longer than ``lam[0]`` or a
-    column taller than ``len(lam)``, are never proposed (see
-    :func:`_step_shapes`).  For a one-row or one-column content one cap is
-    1, so every step is a strip with multiplicity 1 by Pieri's rule; for
-    any other content the successors whose step :func:`dominance_zero`
-    proves to have no filling are left out.  An edge kept here may still
-    have multiplicity 0 or lead nowhere: the callers weigh or list only
-    the edges into shapes that reach the target, walking back from it.
+    shape, mapped to its edges ``(outer, skew)`` in ascending
+    lexicographic order of ``outer``; the next level is every ``outer``.
+    Successors that cannot host the remaining steps, or whose step has a
+    row longer than ``lam[0]`` or a column taller than ``len(lam)``, are
+    never proposed (see :func:`_step_shapes`).  For a one-row or
+    one-column content one cap is 1, so every step is a strip with
+    multiplicity 1 by Pieri's rule, and ``skew`` is ``None``.  For any
+    other content ``skew`` is the step's inner boundary,
+    :func:`_step_inner` computed once per proposal, and the successors
+    whose step the dominance test proves to have no filling are left out.
+    The test runs on that tuple as it is, trailing zero rows included,
+    through the core of :func:`lrflags.tableaux.dominance_zero` that does
+    not normalize.  An edge kept here may still have multiplicity 0 or
+    lead nowhere: the callers weigh or list only the edges into shapes
+    that reach the target, walking back from it, on the carried skew.
     """
     cuts = [a for a, _ in terms]
     n, alpha0, off = staircase.n, staircase.alpha[0], staircase.offsets
@@ -295,17 +312,19 @@ def _shape_graph(
     level = [()]
     for (a, lam), b in zip(terms, nexts):
         pieri = _pieri(lam)
-        edges: dict[tuple[int, ...], list[tuple[int, ...]]] = {}
+        edges: dict[tuple[int, ...], list[tuple[tuple[int, ...], tuple[int, ...] | None]]] = {}
         for inner in level:
             succ = _step_shapes(inner, a, lam, staircase, target, floors[b])
-            if not pieri:
-                succ = [
-                    outer for outer in succ
-                    if not dominance_zero(outer, _step_inner(outer, inner, staircase), lam)
+            if pieri:
+                edges[inner] = [(outer, None) for outer in succ]
+            else:
+                edges[inner] = [
+                    (outer, skew)
+                    for outer in succ
+                    if not _dominance_zero(outer, skew := _step_inner(outer, inner, staircase), lam)
                 ]
-            edges[inner] = succ
         yield edges
-        level = dict.fromkeys(outer for succ in edges.values() for outer in succ)
+        level = dict.fromkeys(outer for succ in edges.values() for outer, _ in succ)
 
 
 def _target(problem: SchubertProblem, target: Shape | None) -> Shape:
@@ -339,7 +358,8 @@ def enumerate_filtered_tableaux(
 
     Walks the shape graph of :func:`count_filtered_tableaux` forward,
     then trims it back from the target: level by level, it lists the
-    fillings of each edge into a shape that reaches the target, once, and
+    fillings of each edge into a shape that reaches the target, once, on
+    the skew the forward pass carried (a Pieri step computes its own), and
     drops the edge if it has none.  Every tableau through an edge shares
     its list, and no multiplicity is counted apart from it.  The chains
     are walked depth first on an explicit stack, so memory is bounded by
@@ -350,8 +370,10 @@ def enumerate_filtered_tableaux(
     if target.size != problem.total_size:
         return
 
-    def fillings(outer, inner, lam):
-        return enumerate_lr_tableaux(SkewShape(outer, _step_inner(outer, inner, staircase)), lam)
+    def fillings(outer, skew, inner, lam):
+        if skew is None:  # a Pieri step: the graph carries no skew for it
+            skew = _step_inner(outer, inner, staircase)
+        return enumerate_lr_tableaux(SkewShape(outer, skew), lam)
 
     steps = list(_shape_graph(problem.terms, staircase, target.embedded))
     live = {target.embedded}
@@ -359,7 +381,9 @@ def enumerate_filtered_tableaux(
         lam = problem.terms[k][1]
         steps[k] = {
             inner: [
-                (outer, found) for outer in succ if outer in live and (found := fillings(outer, inner, lam))
+                (outer, found)
+                for outer, skew in succ
+                if outer in live and (found := fillings(outer, skew, inner, lam))
             ]
             for inner, succ in steps[k].items()
         }
@@ -386,9 +410,9 @@ def count_filtered_tableaux(problem: SchubertProblem, target: Shape | None = Non
     forward, takes the same targets, and folds the graph backward from
     the target: ``ways[inner]`` is the sum of ``mult * ways[outer]`` over
     the successors with nonzero ``ways``.  Only those edges are weighed,
-    at 1 for a one-row or one-column content and by
-    :func:`count_lr_tableaux` otherwise, so no multiplicity is counted on
-    an edge that leads nowhere.
+    at 1 for a one-row or one-column content and otherwise by
+    :func:`count_lr_tableaux` on the skew the forward pass carried, so no
+    multiplicity is counted on an edge that leads nowhere.
     """
     target = _target(problem, target)
     if target.size != problem.total_size:
@@ -397,13 +421,12 @@ def count_filtered_tableaux(problem: SchubertProblem, target: Shape | None = Non
     steps = list(_shape_graph(problem.terms, staircase, target.embedded))
     ways: dict[tuple[int, ...], int] = {target.embedded: 1}
     for (_, lam), edges in zip(reversed(problem.terms), reversed(steps)):
-        pieri = _pieri(lam)
         back: dict[tuple[int, ...], int] = {}
         for inner, succ in edges.items():
             total = 0
-            for outer in succ:
+            for outer, skew in succ:
                 if outer in ways:
-                    mult = 1 if pieri else count_lr_tableaux(outer, _step_inner(outer, inner, staircase), lam)
+                    mult = 1 if skew is None else count_lr_tableaux(outer, skew, lam)
                     total += ways[outer] * mult
             if total:
                 back[inner] = total

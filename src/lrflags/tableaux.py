@@ -297,11 +297,14 @@ def enumerate_lr_tableaux(shape: SkewShape, lam: Iterable[int]) -> list[SkewTabl
 
 
 def _dominance_zero(outer: tuple[int, ...], inner: tuple[int, ...], lam: tuple[int, ...]) -> bool:
-    """:func:`dominance_zero` on normalized partitions with ``inner`` inside
-    ``outer``.
+    """:func:`dominance_zero` on partitions with ``inner`` inside ``outer``.
 
-    The first partial sums of the test are the stepper's two caps, row
-    ``<= lam[0]`` and column ``<= len(lam)``.
+    ``outer`` and ``lam`` are normalized.  ``inner`` need not be: it may
+    end in zero rows, as the steps of :mod:`lrflags.filtered` give it, and
+    a zero row counts as a row of the skew that starts at column 0, just
+    as a row past ``inner``'s end does.  The first partial sums of the
+    test are the stepper's two caps, row ``<= lam[0]`` and column
+    ``<= len(lam)``.
     """
     if sum(outer) - sum(inner) != sum(lam):
         return True
@@ -318,7 +321,7 @@ def _dominance_zero(outer: tuple[int, ...], inner: tuple[int, ...], lam: tuple[i
     # partial sums
     steps = [0] * (outer[0] + 1)
     steps[0] = len(outer) - len(inner)
-    for c in inner:
+    for c in inner:  # a zero row of inner starts at column 0 too
         steps[c] += 1
     for c in outer:
         steps[c] -= 1

@@ -139,8 +139,8 @@ def _weighed(terms, region, target):
     for (_, lam), step in zip(terms, _shape_graph(terms, region, target)):
         weighed = {}
         for inner, succ in step.items():
-            mults = [count_lr_tableaux(outer, _step_inner(outer, inner, region), lam) for outer in succ]
-            weighed[inner] = [(outer, m) for outer, m in zip(succ, mults) if m]
+            mults = [count_lr_tableaux(outer, _step_inner(outer, inner, region), lam) for outer, _ in succ]
+            weighed[inner] = [(outer, m) for (outer, _), m in zip(succ, mults) if m]
         levels.append(weighed)
     return levels
 
@@ -206,6 +206,59 @@ def test_count_weighs_only_live_edges(monkeypatch, seven_term_problem, five_fact
     # multiplicity 0; all-box and Pieri-only problems weigh none
     assert totals[:2] == [12, 3]
     assert totals[2:] == [0, 3, 0, 1, 0, 10, 0, 15, 0, 0, 0, 0, 3, 0, 2, 0, 0, 0, 8, 0, 0, 0, 2, 0]
+
+
+def test_forward_dominance_test_matches_the_public_predicate(
+    monkeypatch, seven_term_problem, five_factor_problem
+):
+    # the forward pass tests each non-Pieri proposal once, on the skew
+    # _step_inner gives (not normalized: it may end in zero rows), with the
+    # core that does not normalize; that must agree with the public,
+    # normalizing dominance_zero, and the kept edges carry the same skew
+    import lrflags.filtered as filtered
+    from conftest import random_valid_problem
+    from lrflags.filtered import _pieri, _shape_graph, _step_inner
+    from lrflags.tableaux import dominance_zero
+
+    proposed, tested = [], []
+    original_step_shapes, original_zero = filtered._step_shapes, filtered._dominance_zero
+
+    def proposing(inner, *args):
+        succ = original_step_shapes(inner, *args)
+        proposed.append((inner, succ))
+        return succ
+
+    def testing(outer, skew, lam):
+        tested.append((outer, skew, lam))
+        return original_zero(outer, skew, lam)
+
+    monkeypatch.setattr(filtered, "_step_shapes", proposing)
+    monkeypatch.setattr(filtered, "_dominance_zero", testing)
+    rng = random.Random(2501)
+    problems = [seven_term_problem, five_factor_problem]
+    problems += [random_valid_problem(rng, n) for n in (7, 8, 9) for _ in range(12)]
+    calls = zeros = trailing = 0
+    for problem in problems:
+        region, target = problem.staircase, Shape.full(problem.staircase).embedded
+        tested.clear()
+        expected_tests = []
+        for (_, lam), step in zip(problem.terms, _shape_graph(problem.terms, region, target)):
+            for inner, succ in proposed:
+                if _pieri(lam):
+                    assert step[inner] == [(outer, None) for outer in succ]
+                    continue
+                skews = [_step_inner(outer, inner, region) for outer in succ]
+                expected_tests += [(outer, skew, lam) for outer, skew in zip(succ, skews)]
+                kept = [(outer, skew) for outer, skew in zip(succ, skews) if not dominance_zero(outer, skew, lam)]
+                assert step[inner] == kept
+                zeros += len(succ) - len(kept)
+                trailing += sum(skew[-1] == 0 for skew in skews)
+            proposed.clear()
+        assert tested == expected_tests
+        calls += len(tested)
+    # non-Pieri proposals tested, proved zero, and tested on a skew that
+    # ends in a zero row
+    assert (calls, zeros, trailing) == (135, 40, 41)
 
 
 def _hosted(emb, target, off, later, alpha0):
@@ -485,7 +538,7 @@ def test_shape_graph_keeps_only_hostable_edges():
     proposed = edges = 0
     for terms, full, target in _valley_graphs(11, 4):
         for k, step in enumerate(_shape_graph(terms, full, target)):
-            for outer in (outer for succ in step.values() for outer in succ):
+            for outer, _ in (edge for succ in step.values() for edge in succ):
                 assert _hosted(outer, target, full.offsets, [a for a, _ in terms[k + 1 :]], 1)
                 proposed += 1
         edges += sum(len(succ) for step in _reference_levels(terms, full, target) for succ in step.values())
