@@ -1,10 +1,11 @@
 """Independent verification path via Schubert polynomials.
 
 Everything here is classical machinery: Schubert polynomials built by
-divided differences from the staircase monomial, Monk's formula on
-permutations, and coefficient extraction through Poincare duality.  The
-oracle's routes share with the filtered-tableau rule only the definition
-of the Grassmannian permutation attached to a term ``(a, lam)``.
+divided differences from the monomial of the nearest dominant
+permutation, Monk's formula on permutations, and coefficient extraction
+through Poincare duality.  The oracle's routes share with the
+filtered-tableau rule only the definition of the Grassmannian
+permutation attached to a term ``(a, lam)``.
 ``coefficient_identity_check`` also reads the rule's Littlewood-Richardson
 count, but only as the other side of its comparison.
 
@@ -114,16 +115,16 @@ _SCHUBERT_CACHE_CAP = 1 << 16  # schubert_polynomial clears its cache at this si
 _schubert_cache: dict[tuple[int, ...], IntPolynomial] = {}
 
 
-def _staircase_exponents(n: int) -> tuple[int, ...]:
-    return tuple(range(n - 1, -1, -1))
-
-
 def schubert_polynomial(w: Sequence[int]) -> IntPolynomial:
     """The Schubert polynomial of ``w``, homogeneous of degree ``length(w)``.
 
-    Computed by divided differences down from the staircase monomial of
-    the longest permutation; independent of the choice of reduced word.
-    Exponent tuples have length ``n`` but the last variable never occurs.
+    Computed by divided differences down from the monomial of the nearest
+    dominant permutation: a permutation whose Lehmer code ``c`` is a
+    partition has Schubert polynomial ``x^c``, and while some
+    ``c_i < c_{i+1}``, position ``i`` is an ascent whose swap turns that
+    code pair into ``(c_{i+1} + 1, c_i)``.  Independent of the order of
+    the swaps.  Exponent tuples have length ``n`` but the last variable
+    never occurs.
 
     >>> schubert_polynomial((2, 1, 3)).terms()
     {(1, 0, 0): 1}
@@ -134,22 +135,19 @@ def schubert_polynomial(w: Sequence[int]) -> IntPolynomial:
     except (KeyError, TypeError):  # a miss, or an unhashable word
         pass
     w = check_permutation(w)
-    n = len(w)
     if len(_schubert_cache) >= _SCHUBERT_CACHE_CAP:
         _schubert_cache.clear()
-    # climb first ascents up to a cached permutation or w0, then divide back down
+    # climb first code ascents up to a dominant permutation, then divide back down
+    code = [sum(v < u for v in w[i + 1:]) for i, u in enumerate(w)]
+    steps = range(len(w) - 1)
     climbed = []
-    u = w
-    while u not in _schubert_cache:
-        ascent = next((i for i in range(n - 1) if u[i] < u[i + 1]), None)
-        if ascent is None:
-            _schubert_cache[u] = IntPolynomial.monomial(_staircase_exponents(n))
-            break
-        climbed.append((u, ascent))
-        u = swap_positions(u, ascent + 1, ascent + 2)
-    poly = _schubert_cache[u]
-    for v, ascent in reversed(climbed):
-        poly = _schubert_cache[v] = poly.divided_difference(ascent + 1)
+    while (i := next((k for k in steps if code[k] < code[k + 1]), None)) is not None:
+        code[i], code[i + 1] = code[i + 1] + 1, code[i]
+        climbed.append(i + 1)
+    poly = IntPolynomial.monomial(code)
+    for ascent in reversed(climbed):
+        poly = poly.divided_difference(ascent)
+    _schubert_cache[w] = poly
     return poly
 
 

@@ -2,9 +2,12 @@ import argparse
 import io
 import os
 import random
+import re
+import resource
 import subprocess
 import sys
 import tracemalloc
+from collections import Counter
 from contextlib import redirect_stdout
 from pathlib import Path
 
@@ -506,14 +509,20 @@ def test_comma_separated_permutation_parsing():
             _parse_permutation_arg(text, 4)
 
 
-def test_cli_as_subprocess(tmp_path):
-    path = tmp_path / "p.txt"
-    path.write_text(SIX_BOX)
-    # the child interpreter does not see pytest's pythonpath, so put the
-    # directory holding the imported package first on its PYTHONPATH
+def child_env():
+    """The environment for a child interpreter: it does not see pytest's
+    pythonpath, so the directory holding the imported package goes first
+    on its PYTHONPATH."""
     package_root = str(Path(lrflags.__file__).resolve().parent.parent)
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, (package_root, env.get("PYTHONPATH"))))
+    return env
+
+
+def test_cli_as_subprocess(tmp_path):
+    path = tmp_path / "p.txt"
+    path.write_text(SIX_BOX)
+    env = child_env()
     proc = subprocess.run(
         [sys.executable, "-m", "lrflags.cli", "verify", str(path)],
         capture_output=True, text=True, env=env,
@@ -527,6 +536,83 @@ def test_cli_as_subprocess(tmp_path):
     )
     assert proc.returncode == 0
     assert proc.stdout == "2\n"
+
+
+def test_verify_at_n_1000_in_bounded_memory(tmp_path):
+    # Gr(1,n): the factor's Lehmer code (n-1, 0, ...) is already a
+    # partition, so the oracle needs no climb towards w0 in S_n, which
+    # costs about n^3 steps and overruns the timeout at n = 2000
+    limit = 1 << 30
+
+    def cap_address_space():  # runs in the child only
+        resource.setrlimit(resource.RLIMIT_AS, (limit, limit))
+
+    path = tmp_path / "p.txt"
+    for n in (1000, 2000):
+        path.write_text(f"n = {n}\n1: {n - 1}\n")
+        proc = subprocess.run(
+            [sys.executable, "-m", "lrflags.cli", "verify", str(path)],
+            capture_output=True, text=True, env=child_env(),
+            preexec_fn=cap_address_space, timeout=20,
+        )
+        assert (proc.returncode, proc.stdout, proc.stderr) == (0, "rule=1 oracle=1 OK\n", ""), n
+
+
+def mutate(rng, text):
+    """One random edit of a problem document: a character inserted,
+    deleted or replaced, a number rewritten, a line dropped or repeated,
+    or an alpha line added."""
+    lines = text.splitlines(keepends=True)
+    pos = rng.randrange(len(text) + 1)
+    kind = rng.randrange(7)
+    if kind == 0:
+        return text[:pos] + rng.choice("0123456789,:;-={}# \t\nna\u00b2\u00e9") + text[pos:]
+    if kind == 1:
+        return text[:pos] + text[pos + 1:]
+    if kind == 2:
+        return text[:pos] + rng.choice("0,:-{}") + text[pos + 1:]
+    if kind == 3:
+        return re.sub(r"\d+", lambda m: str(rng.choice((0, 1, 2, 3, 9, 10, 99))) if rng.random() < 0.3 else m.group(), text)
+    if kind == 4 and lines:
+        del lines[rng.randrange(len(lines))]
+    elif kind == 5 and lines:
+        lines.insert(rng.randrange(len(lines) + 1), rng.choice(lines))
+    else:
+        cuts = ",".join(str(rng.randrange(10)) for _ in range(rng.randrange(4)))
+        lines.insert(rng.randrange(len(lines) + 1), f"alpha = {{{cuts}}}\n")
+    return "".join(lines)
+
+
+def test_fuzzed_documents_exit_cleanly(tmp_path):
+    # every command on mutated fixtures: exit 0, 1 or 2, never an exception,
+    # and every 2 says why on stderr; n stays at 8 or below so that a valid
+    # mutant's verify stays fast
+    rng = random.Random(2026)
+    seeds = [SIX_BOX, SEVEN_TERM_18, THIRTEEN_BOX_262, FIVE_FACTOR, "n = 7\nalpha = {2,3,5}\n" + SEVEN_TERM_18[6:]]
+    codes = Counter()
+    inputs = 0
+    while inputs < 400:
+        text = rng.choice(seeds)
+        for _ in range(rng.randint(1, 3)):
+            text = mutate(rng, text)
+        try:
+            n = parse_problem(text).n
+        except ParseError:
+            n = 0
+        if n > 8:
+            continue
+        inputs += 1
+        word = "".join(map(str, rng.sample(range(1, n + 1), n))) if n and rng.random() < 0.8 else "21"
+        for args in (["count"], ["enumerate"], ["verify"], ["monk"], ["valley", word]):
+            try:
+                code, _, err = run(args, text=text, tmp_path=tmp_path)
+            except Exception as exc:
+                pytest.fail(f"{args} on {text!r} raised {exc!r}")
+            assert code in (0, 1, 2), (args, text)
+            assert code != 2 or err.startswith("error:"), (args, text, err)
+            codes[code] += 1
+    # the mutants reach past the parser
+    assert codes[0] > 0 and codes[2] > 0
 
 
 def test_exit_codes_never_other(tmp_path):

@@ -61,8 +61,27 @@ def test_schubert_polynomial_base_cases():
 
 
 def test_schubert_polynomial_of_large_identity():
-    # 1035 ascents to climb from the identity of S_46 up to w0
+    # both codes are partitions, so neither climbs: 0 and the staircase
     assert schubert_polynomial(identity(46)) == IntPolynomial.one(46)
+    assert schubert_polynomial(longest(46)).terms() == {tuple(range(45, -1, -1)): 1}
+
+
+def test_climb_stops_at_the_nearest_dominant_permutation(monkeypatch):
+    # a dominant permutation (Lehmer code a partition) is its own monomial,
+    # and a Grassmannian one with descent at a climbs at most a(a-1)/2 steps
+    calls = []
+    divide = IntPolynomial.divided_difference
+    monkeypatch.setattr(IntPolynomial, "divided_difference", lambda p, i: calls.append(i) or divide(p, i))
+    for w in [identity(46), longest(46), *itertools.permutations(range(1, 6))]:
+        monkeypatch.setattr(oracle, "_schubert_cache", {})
+        calls.clear()
+        poly = schubert_polynomial(w)
+        code = [sum(v < u for v in w[i + 1:]) for i, u in enumerate(w)]
+        if code == sorted(code, reverse=True):
+            assert (calls, poly.terms()) == ([], {tuple(code): 1}), w
+        if len(descent_set(w)) == 1:
+            (a,) = descent_set(w)
+            assert len(calls) <= a * (a - 1) // 2, w
 
 
 def test_schubert_polynomials_are_homogeneous_of_length_degree():
@@ -103,8 +122,16 @@ def test_schubert_cache_stays_bounded(monkeypatch):
     monkeypatch.setattr(oracle, "_schubert_cache", {})
     for w in itertools.permutations(range(1, n + 1)):
         assert schubert_polynomial(w) == via_last_ascent(w), w
-        # one call adds at most its climb to w0 and w0 itself
-        assert 0 < len(oracle._schubert_cache) <= cap + n * (n - 1) // 2
+        assert 0 < len(oracle._schubert_cache) <= cap
+    # the cache holds the permutations callers asked for, none met on the climb
+    monkeypatch.setattr(oracle, "_SCHUBERT_CACHE_CAP", 1 << 16)
+    monkeypatch.setattr(oracle, "_schubert_cache", {})
+    asked = []
+    for w in itertools.permutations(range(1, n + 1)):
+        schubert_polynomial(w)
+        asked.append(w)
+        assert sorted(oracle._schubert_cache) == asked, w
+    assert len(asked) == 24
 
 
 def test_grassmannian_schubert_is_schur_like():
