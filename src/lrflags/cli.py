@@ -15,7 +15,8 @@ Subcommands::
     monk       all-box problems: chain count vs iterated Monk expansion
 
 Exit status: 0 on success, 1 when a verification reports MISMATCH, 2 on
-invalid input.  Results go to stdout, diagnostics to stderr.
+invalid input or when the computation runs out of memory.  Results go to
+stdout, diagnostics to stderr.
 """
 
 from __future__ import annotations
@@ -25,9 +26,10 @@ import functools
 import re
 import sys
 from dataclasses import dataclass
-from itertools import repeat
+from itertools import product as iter_product, repeat
 from operator import mul
 
+from . import filtered
 from .filtered import (
     count_monk_chains,
     enumerate_filtered_tableaux,
@@ -140,7 +142,8 @@ def render_filtered_tableau(ft, index: int) -> list[str]:
     Each step prints its skew diagram with ``.`` for cells already filled
     (or left of the row's span) and the digit entries of the new cells.
     This is the reference for the ``enumerate`` output, which builds the
-    same step blocks but renders each filling once.
+    same step blocks but renders each live edge's fillings once, from the
+    trimmed shape graph, and joins the blocks along each chain.
     """
     lines = [f"tableau {index}"]
     for i, (a, _) in enumerate(ft.terms):
@@ -194,26 +197,35 @@ def _cmd_enumerate(doc: ProblemDocument, args) -> int:
     """Stream every filtered tableau as :func:`render_filtered_tableau`
     renders it, then ``count <N>``.
 
-    Tableaux through one shape-graph edge share that edge's filling
-    objects, so each step block is rendered once per filling and kept for
-    the call, per step, keyed by the filling's ``id``.  The kept value
-    holds the filling too, so its ``id`` cannot be reused meanwhile.
+    Reads the trimmed shape graph of :func:`enumerate_filtered_tableaux`
+    from its builder and renders each live edge's fillings to step-block
+    text once.  Then it walks the graph's chains in the same order, on
+    one path array indexed by level, and writes each combination of the
+    path's blocks as one tableau, joined at the leaf.
     """
     problem = doc.problem()
     chosen = validate_problem(problem, _cut_set(doc, args.alpha))
-    tableaux = enumerate_filtered_tableaux(problem, Shape.full(Staircase(chosen, problem.n)))
-    steps = [(i, a, {}) for i, (a, _) in enumerate(problem.terms, 1)]
+    levels = filtered._trimmed_graph(problem, Shape.full(Staircase(chosen, problem.n)))
     write = sys.stdout.write
     total = 0
-    for total, ft in enumerate(tableaux, 1):
-        lines = [f"tableau {total}"]
-        for (i, a, kept), filling in zip(steps, ft.fillings):
-            block = kept.get(id(filling))
-            if block is None:
-                block = kept[id(filling)] = (filling, "\n".join(_step_block(i, a, filling)))
-            lines.append(block[1])
-        lines.append("\n")
-        write("\n".join(lines))
+    if levels is not None:
+        # each edge's fillings become their step blocks in place, so the
+        # fillings are freed as the text replaces them
+        for (i, (a, _)), level in zip(enumerate(problem.terms, 1), levels):
+            for edges in level.values():
+                edges[:] = [
+                    (outer, ["\n".join(_step_block(i, a, f)) for f in found]) for outer, found in edges
+                ]
+        # the tableau line, one block per step, the blank line.  One list
+        # serves every tableau: a tuple of the path's length built per
+        # tableau can pile up to 2,000 freed copies on the interpreter's
+        # free list, which shows as memory that grows with the output
+        lines = [""] * (len(levels) + 1) + ["\n"]
+        for path in filtered._chains(levels):
+            for lines[1:-1] in iter_product(*[blocks for _, blocks in path]):
+                total += 1
+                lines[0] = f"tableau {total}"
+                write("\n".join(lines))
     write(f"count {total}\n")
     return 0
 
@@ -290,6 +302,11 @@ def main(argv: list[str] | None = None) -> int:
         return args.fn(doc, args)
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 2
+    except MemoryError:
+        # the oracle's product grows exponentially with n; what it held is
+        # freed as the error unwinds, so the message can still be printed
+        print(f"error: out of memory running {args.command}", file=sys.stderr)
         return 2
 
 

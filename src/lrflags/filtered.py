@@ -43,9 +43,12 @@ floor per next cut ``b`` and cuts it after its last row whose floor
 exceeds the row's offset, never before row ``b``.
 Counting folds the multiplicities of the live edges into a dynamic
 program from the target back to the empty shape; enumeration lists the
-fillings of the live edges only, once each, drops an edge with none,
-and lists chains in lexicographic order on those diagrams, fillings in
-row-major lexicographic order per step.
+fillings of the live edges only, once each, drops an edge with none
+(``_trimmed_graph``), and walks the chains of what is left depth first
+on one path array indexed by level (``_chains``): in lexicographic order
+on those diagrams, then the product of the steps' fillings, each in
+row-major lexicographic order.  The command line renders each live
+edge's fillings to text once and walks the same graph.
 """
 
 from __future__ import annotations
@@ -344,31 +347,25 @@ def _target(problem: SchubertProblem, target: Shape | None) -> Shape:
     return target
 
 
-def enumerate_filtered_tableaux(
-    problem: SchubertProblem, target: Shape | None = None
-) -> Iterator[FilteredTableau]:
-    """All filtered tableaux for ``problem`` with the given target shape, lazily.
+def _trimmed_graph(
+    problem: SchubertProblem, target: Shape
+) -> list[dict[tuple[int, ...], list[tuple[tuple[int, ...], list[SkewTableau]]]]] | None:
+    """The shape graph trimmed back from ``target``, with each live edge's fillings.
 
-    ``target`` defaults to the full staircase region of the problem's cut
-    set.  A target region of another ``n``, or whose cut set lacks a cut of
-    the problem, raises ``ProblemError`` on the first item drawn.  If the
-    target size differs from the total content size nothing is yielded.
-    Output order: lexicographic on the chain of embedded diagrams, then
-    lexicographic per-step fillings.
-
-    Walks the shape graph of :func:`count_filtered_tableaux` forward,
-    then trims it back from the target: level by level, it lists the
-    fillings of each edge into a shape that reaches the target, once, on
-    the skew the forward pass carried (a Pieri step computes its own), and
-    drops the edge if it has none.  Every tableau through an edge shares
-    its list, and no multiplicity is counted apart from it.  The chains
-    are walked depth first on an explicit stack, so memory is bounded by
-    the graph, not the output.
+    ``target`` must lie in a region the problem's steps can fill, as
+    :func:`_target` checks.  Returns ``None`` when its size differs from
+    the total content size, since no tableau exists.  Otherwise returns
+    one dict per term, mapping each inner shape to its live edges
+    ``(outer, fillings)`` in ascending lexicographic order of ``outer``:
+    level by level from the target back, the fillings of each edge into a
+    shape that reaches the target are listed once, on the skew the forward
+    pass carried (a Pieri step computes its own), and an edge with none is
+    dropped.  Every tableau through an edge shares its list, and no
+    multiplicity is counted apart from it.
     """
-    target = _target(problem, target)
-    staircase = target.staircase
     if target.size != problem.total_size:
-        return
+        return None
+    staircase = target.staircase
 
     def fillings(outer, skew, inner, lam):
         if skew is None:  # a Pieri step: the graph carries no skew for it
@@ -388,19 +385,71 @@ def enumerate_filtered_tableaux(
             for inner, succ in steps[k].items()
         }
         live = {inner for inner, succ in steps[k].items() if succ}
-    stack = [(((),), ())]  # (chain of shapes, filling lists of its steps)
-    while stack:
-        chain, per_step = stack.pop()
-        level = len(per_step)
-        if level < len(steps):
-            # successors pushed largest first, so chains pop in lex order
-            stack.extend(
-                (chain + (outer,), per_step + (found,))
-                for outer, found in reversed(steps[level][chain[-1]])
-            )
-            continue
-        for combo in iter_product(*per_step):
-            yield FilteredTableau(staircase, problem.terms, chain, combo)
+    return steps
+
+
+def _chains(
+    levels: Sequence[dict[tuple[int, ...], list[tuple[tuple[int, ...], object]]]]
+) -> Iterator[list]:
+    """Every chain from the empty shape through ``levels``, in lexicographic order.
+
+    ``levels`` maps, per level, an inner shape to its edges ``(outer,
+    payload)`` in ascending order of ``outer``, as :func:`_trimmed_graph`
+    returns them.  Yields one list per chain, indexed by level, holding the
+    edge taken at each level.  The walk is depth first and overwrites that
+    one list in place, so a chain costs one assignment per level it
+    changes, and a yielded list is valid only until the next one.
+    """
+    depth = len(levels)
+    path: list = [None] * depth
+    if not depth:
+        yield path
+        return
+    # edges[k] iterates the edges left to try at level k
+    edges: list = [iter(levels[0][()])] + [None] * (depth - 1)
+    last, k = depth - 1, 0
+    while k >= 0:
+        for edge in edges[k]:
+            path[k] = edge
+            if k == last:
+                yield path
+            else:
+                k += 1
+                edges[k] = iter(levels[k][edge[0]])
+                break
+        else:
+            k -= 1
+
+
+def enumerate_filtered_tableaux(
+    problem: SchubertProblem, target: Shape | None = None
+) -> Iterator[FilteredTableau]:
+    """All filtered tableaux for ``problem`` with the given target shape, lazily.
+
+    ``target`` defaults to the full staircase region of the problem's cut
+    set.  A target region of another ``n``, or whose cut set lacks a cut of
+    the problem, raises ``ProblemError`` on the first item drawn.  If the
+    target size differs from the total content size nothing is yielded.
+    Output order: lexicographic on the chain of embedded diagrams, then
+    lexicographic per-step fillings.
+
+    Walks the shape graph of :func:`count_filtered_tableaux` forward,
+    then trims it back from the target and lists each live edge's
+    fillings once (:func:`_trimmed_graph`).  The chains of the trimmed
+    graph are walked depth first on one path array indexed by level
+    (:func:`_chains`), so memory is bounded by the graph, not the output,
+    and a chain costs time linear in its length.  Each chain yields the
+    product of its steps' filling lists.
+    """
+    target = _target(problem, target)
+    levels = _trimmed_graph(problem, target)
+    if levels is None:
+        return
+    staircase, terms = target.staircase, problem.terms
+    for path in _chains(levels):
+        chain = ((), *[outer for outer, _ in path])
+        for combo in iter_product(*[found for _, found in path]):
+            yield FilteredTableau(staircase, terms, chain, combo)
 
 
 def count_filtered_tableaux(problem: SchubertProblem, target: Shape | None = None) -> int:

@@ -63,6 +63,7 @@ and ``coefficient_identity_check`` keep their full products.
 from __future__ import annotations
 
 import itertools
+from bisect import bisect_left, insort
 from operator import le
 from typing import Iterable, Sequence
 
@@ -115,6 +116,22 @@ _SCHUBERT_CACHE_CAP = 1 << 16  # schubert_polynomial clears its cache at this si
 _schubert_cache: dict[tuple[int, ...], IntPolynomial] = {}
 
 
+def _lehmer_code(w: Sequence[int]) -> list[int]:
+    """The Lehmer code of ``w``: entry ``i`` counts the ``j > i`` with
+    ``w[j] < w[i]``.  Read right to left, each entry is the position of
+    ``w[i]`` among the values already seen, kept sorted.
+
+    >>> _lehmer_code((3, 1, 4, 2))
+    [2, 0, 1, 0]
+    """
+    code = [0] * len(w)
+    seen: list[int] = []
+    for i in range(len(w) - 1, -1, -1):
+        code[i] = bisect_left(seen, w[i])
+        insort(seen, w[i])
+    return code
+
+
 def schubert_polynomial(w: Sequence[int]) -> IntPolynomial:
     """The Schubert polynomial of ``w``, homogeneous of degree ``length(w)``.
 
@@ -138,7 +155,7 @@ def schubert_polynomial(w: Sequence[int]) -> IntPolynomial:
     if len(_schubert_cache) >= _SCHUBERT_CACHE_CAP:
         _schubert_cache.clear()
     # climb first code ascents up to a dominant permutation, then divide back down
-    code = [sum(v < u for v in w[i + 1:]) for i, u in enumerate(w)]
+    code = _lehmer_code(w)
     steps = range(len(w) - 1)
     climbed = []
     while (i := next((k for k in steps if code[k] < code[k + 1]), None)) is not None:

@@ -1,4 +1,5 @@
 import argparse
+import hashlib
 import io
 import os
 import random
@@ -325,6 +326,17 @@ def test_count_one_term_of_1000_rows(tmp_path):
     assert (code, out) == (0, "1\n")
 
 
+def test_running_out_of_memory_is_a_named_error(monkeypatch, tmp_path):
+    # the oracle's product is exponential in n; a MemoryError it raises
+    # ends the command with an error line and exit 2, not a traceback
+    def exhausted(problem, alpha=None):
+        raise MemoryError
+
+    monkeypatch.setattr(cli, "oracle_intersection_number", exhausted)
+    code, out, err = run(["verify"], text=SIX_BOX, tmp_path=tmp_path)
+    assert (code, out, err) == (2, "", "error: out of memory running verify\n")
+
+
 def reparse_enumeration(output: str, problem):
     """Test-only reader: rebuild FilteredTableau objects from cmd output."""
     staircase = problem.staircase
@@ -407,14 +419,19 @@ def test_enumerate_stream_matches_reference_renderer(tmp_path):
 
 
 class DiscardingSink(io.TextIOBase):
-    """A text stream that keeps only the last characters written to it."""
+    """A text stream that keeps only the last characters written to it and
+    a running sha256 of everything written."""
 
     tail = ""
+
+    def __init__(self):
+        self.sha = hashlib.sha256()
 
     def writable(self):
         return True
 
     def write(self, text):
+        self.sha.update(text.encode("utf-8"))
         self.tail = (self.tail + text)[-32:]
         return len(text)
 
@@ -434,6 +451,10 @@ def test_enumerate_memory_is_independent_of_output(tmp_path):
         tracemalloc.stop()
     assert code == 0 and sink.tail.endswith("\n\ncount 24024\n")
     assert peak < 1 << 20, peak
+    # an independent pin of the bytes: the stream and the reference
+    # renderer share the trimmed-graph builder, so only this catches a
+    # fault in the builder itself
+    assert sink.sha.hexdigest() == "78175e8a682e8c9125e30cf59033d3fc996bc367f5fae85c13774cf81a24ea20"
 
 
 def test_parser_is_built_once_and_keeps_no_state(tmp_path, monkeypatch):

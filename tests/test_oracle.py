@@ -84,6 +84,14 @@ def test_climb_stops_at_the_nearest_dominant_permutation(monkeypatch):
             assert len(calls) <= a * (a - 1) // 2, w
 
 
+def test_lehmer_code_matches_its_definition():
+    # entry i counts the later, smaller values, for every w in S_n, n <= 5
+    for n in range(6):
+        for w in itertools.permutations(range(1, n + 1)):
+            definition = [sum(w[j] < w[i] for j in range(i + 1, n)) for i in range(n)]
+            assert oracle._lehmer_code(w) == definition, w
+
+
 def test_schubert_polynomials_are_homogeneous_of_length_degree():
     for w in itertools.permutations(range(1, 6)):
         poly = schubert_polynomial(w)

@@ -54,17 +54,19 @@ def test_rule_looks_up_lr_layer_at_call_time(monkeypatch, seven_term_problem):
 
 
 def test_cli_looks_up_enumeration_at_call_time(monkeypatch, tmp_path):
-    # the tracer's enumerate span patches this name on lrflags.cli
+    # enumerate reads the trimmed shape graph from its builder, looked up on
+    # lrflags.filtered when called, so a patch there sees the one call
     import lrflags.cli as cli
+    import lrflags.filtered as filtered
 
     calls = []
-    original = cli.enumerate_filtered_tableaux
+    original = filtered._trimmed_graph
 
     def counting(*args):
         calls.append(args)
         return original(*args)
 
-    monkeypatch.setattr(cli, "enumerate_filtered_tableaux", counting)
+    monkeypatch.setattr(filtered, "_trimmed_graph", counting)
     path = tmp_path / "six_box.txt"
     path.write_text("n = 4\n1: 1\n1: 1\n2: 1\n2: 1\n3: 1\n3: 1\n")
     with redirect_stdout(io.StringIO()) as out:
@@ -77,15 +79,16 @@ def test_cli_enumerates_in_the_wider_region(monkeypatch, tmp_path):
     # enumerate --alpha with a strictly wider cut set runs the rule on that
     # set's region, whose empty stream ends with count 0
     import lrflags.cli as cli
+    import lrflags.filtered as filtered
 
     targets = []
-    original = cli.enumerate_filtered_tableaux
+    original = filtered._trimmed_graph
 
-    def recording(problem, target=None):
+    def recording(problem, target):
         targets.append(target)
         return original(problem, target)
 
-    monkeypatch.setattr(cli, "enumerate_filtered_tableaux", recording)
+    monkeypatch.setattr(filtered, "_trimmed_graph", recording)
     path = tmp_path / "quad.txt"
     path.write_text("n = 4\n2: 1\n2: 1\n2: 1\n2: 1\n")
     with redirect_stdout(io.StringIO()) as out:
