@@ -7,7 +7,7 @@ size.  Zero coefficients are never stored.
 
 from __future__ import annotations
 
-from operator import index, mul
+from operator import index, lshift
 from typing import Iterable, Mapping
 
 __all__ = ["IntPolynomial"]
@@ -117,12 +117,13 @@ class IntPolynomial:
         """Product of two polynomials, or of a polynomial and an integer.
 
         Each exponent tuple ``e`` is packed into the integer
-        ``sum(e[i] * base**i)`` with ``base`` one more than the largest
-        exponent of ``self`` plus the largest exponent of ``other``.  No
-        digit of a sum of two packed keys reaches ``base``, so adding keys
-        never carries and the sum is the packed key of the product
-        monomial.  Each term pair costs one integer addition and one dict
-        update; only the product's terms are unpacked.
+        ``sum(e[i] << i * width)``, ``width`` bits per variable, with
+        ``width`` the bit length of the largest exponent of ``self`` plus
+        the largest exponent of ``other``.  No field of a sum of two packed
+        keys reaches ``2**width``, so adding keys never carries and the sum
+        is the packed key of the product monomial.  Each term pair costs
+        one integer addition and one dict update; only the product's terms
+        are unpacked, each field by one shift and one mask.
         """
         if isinstance(other, int):
             return self.__rmul__(other)
@@ -130,21 +131,23 @@ class IntPolynomial:
             return NotImplemented
         self._check(other)
         nvars = self.nvars
-        base = 1
+        top = 0
         if nvars:  # an empty exponent tuple has no max
-            base += max(map(max, self._terms), default=0) + max(map(max, other._terms), default=0)
-        powers = [base**i for i in range(nvars)]
-        right = [(sum(map(mul, e, powers)), c) for e, c in other._terms.items()]
+            top = max(map(max, self._terms), default=0) + max(map(max, other._terms), default=0)
+        width = max(1, top.bit_length())
+        shifts = range(0, width * nvars, width)
+        mask = (1 << width) - 1
+        right = [(sum(map(lshift, e, shifts)), c) for e, c in other._terms.items()]
         packed: dict[int, int] = {}
         get = packed.get
         for e1, c1 in self._terms.items():
-            k1 = sum(map(mul, e1, powers))
+            k1 = sum(map(lshift, e1, shifts))
             for k2, c2 in right:
                 key = k1 + k2
                 packed[key] = get(key, 0) + c1 * c2
         return IntPolynomial._wrap(
             nvars,
-            {tuple([key // p % base for p in powers]): c for key, c in packed.items() if c},
+            {tuple([key >> s & mask for s in shifts]): c for key, c in packed.items() if c},
         )
 
     def divided_difference(self, i: int) -> "IntPolynomial":

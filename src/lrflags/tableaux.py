@@ -13,17 +13,15 @@ tableau of content ``lam`` when
 The number of such fillings is the Littlewood-Richardson coefficient
 ``c^{outer/inner}_{lam}``.
 
-Enumeration is one iterative backtracker that fills the cells in
-row-major order with ascending entries, so the list comes out sorted
-lexicographically by row-major entry sequence, the package's canonical
-order.  Rows weakly increase, so the ballot condition reduces to a
-constant-time check per placed cell: no more ``v`` placed than ``v-1``
-in the rows above.  :func:`count_lr_tableaux` counts the backtracker's
-leaves and builds no tableau.  :func:`enumerate_lr_tableaux` lists a
-Pieri content (one row or one column), which has at most one filling,
-in closed form, and every other content through the backtracker; each
-filling it lists still passes :func:`is_lr_tableau`, one pass over the
-rows.
+Counting and listing share one iterative backtracker that fills the
+cells in row-major order with ascending entries, so the fillings come out
+sorted lexicographically by row-major entry sequence, the package's
+canonical order.  Rows weakly increase, so the ballot condition reduces
+to a constant-time check per placed cell: no more ``v`` placed than
+``v-1`` in the rows above.  :func:`count_lr_tableaux` counts the
+backtracker's leaves and builds no tableau; :func:`enumerate_lr_tableaux`
+builds one tableau per leaf and checks none again.
+:func:`is_lr_tableau` checks the definition cell by cell, on no hot path.
 
 Before it runs the backtracker, :func:`count_lr_tableaux` applies the
 dominance test, public as :func:`dominance_zero`:
@@ -38,7 +36,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import accumulate
-from operator import ge, gt, index, lt, sub
+from operator import index, lt, sub
 from typing import Iterable, Iterator, Sequence
 
 from .partitions import as_int, contains, normalize_partition
@@ -167,37 +165,20 @@ def is_lr_tableau(tableau: SkewTableau, lam: Iterable[int]) -> bool:
     """Whether ``tableau`` is a Littlewood-Richardson filling of content ``lam``.
 
     Total predicate: malformed content or entries simply give ``False``.
-    One pass over the rows checks (i) on slices and reads the word of
-    (ii) and (iii) into one list of counts.
+    It checks the definition through the public accessors: every entry
+    is at least 1, rows weakly increase and columns strictly increase
+    (a neighbour outside the skew shape reads 0), the content is ``lam``
+    and the reading word is a ballot word.
     """
     try:
         lam = normalize_partition(lam)
     except ValueError:
         return False
-    m, inner = len(lam), tableau.shape.inner
-    # counts[v]: entries v read; counts[0] binds only past the content's size
-    counts = [sum(lam) + 1] + [0] * m
-    above: tuple[int, ...] = ()
-    above_first = 0
-    for r, row in enumerate(tableau.rows):
-        if not row:
-            above = ()
-            continue
-        first = inner[r] if r < len(inner) else 0
-        # (i) rows weakly increase; inner is a partition, so the columns
-        # this row shares with the row above are the above row's first
-        # columns, and there entries strictly increase
-        if any(map(gt, row, row[1:])) or any(map(ge, above, row[above_first - first:])):
+    entries = {(r, c): tableau.entry(r, c) for r, c in tableau.shape.cells()}
+    for (r, c), v in entries.items():
+        if v < 1 or entries.get((r, c - 1), 0) > v or entries.get((r - 1, c), 0) >= v:
             return False
-        # (ii) and (iii): entries 1..m only, read right to left, ballot
-        for v in reversed(row):
-            if not 0 < v <= m:
-                return False
-            counts[v] += 1
-            if counts[v] > counts[v - 1]:
-                return False
-        above, above_first = row, first
-    return counts[1:] == list(lam)
+    return tableau.content() == lam and is_ballot(tableau.reading_word())
 
 
 def _lr_fillings(
@@ -242,7 +223,9 @@ def _lr_fillings(
         # gives all its v before its v-1: (iii) holds iff, after placing v
         # in row r, the v placed so far number at most the v-1 in rows
         # 1..r-1.  Those are counts[v-1] less the v-1 left of this cell.
-        while v <= m:
+        # The placed entries form a ballot word, so counts[v] never grows
+        # with v: once no v-1 is placed, no larger entry fits either.
+        while v <= m and counts[v - 1]:
             in_row = below[west] if val[west] == v else run[west] if val[west] == v - 1 else 0
             if counts[v] < lam[v - 1] and counts[v] < counts[v - 1] - in_row:
                 break
@@ -261,39 +244,23 @@ def _lr_fillings(
 def enumerate_lr_tableaux(shape: SkewShape, lam: Iterable[int]) -> list[SkewTableau]:
     """All Littlewood-Richardson fillings of ``shape`` with content ``lam``.
 
-    The list is in row-major lexicographic order on entry sequences and
-    its length is the coefficient ``c^{shape}_{lam}``.  A size mismatch
+    One tableau per leaf of the backtracker that :func:`count_lr_tableaux`
+    counts, so the list's length is the coefficient ``c^{shape}_{lam}``,
+    in row-major lexicographic order on entry sequences.  A size mismatch
     yields the empty list; the empty shape with empty content yields the
     single empty filling.
-
-    A Pieri content has at most one filling, listed in closed form: a
-    one-row content ``(k,)`` fills a horizontal strip (no two cells in a
-    column) with 1s, and a one-column content ``(1,) * k`` fills a
-    vertical strip (no two cells in a row) with ``1..k`` from the top
-    down.  :func:`_lr_fillings` lists every other content.  Each filling
-    still passes :func:`is_lr_tableau` before it is listed.
     """
     lam = normalize_partition(lam)
     if shape.size != sum(lam):
         return []
-    outer = shape.outer
-    starts = shape.inner + (0,) * (len(outer) - len(shape.inner))
-    widths = list(map(sub, outer, starts))
-    fillings: Iterable[list[int]]
-    if len(lam) == 1:
-        fillings = [[1] * lam[0]] if all(map(ge, starts, outer[1:])) else []
-    elif lam and lam[0] == 1:
-        fillings = [list(range(1, len(lam) + 1))] if max(widths) <= 1 else []
-    else:
-        fillings = _lr_fillings(outer, shape.inner, lam)
+    outer, inner = shape.outer, shape.inner
+    widths = map(sub, outer, inner + (0,) * (len(outer) - len(inner)))
     ends = list(accumulate(widths, initial=0))
-    results: list[SkewTableau] = []
-    for val in fillings:
-        candidate = SkewTableau(shape, tuple(tuple(val[a:b]) for a, b in zip(ends, ends[1:])))
-        # final acceptance goes through the public predicate
-        if is_lr_tableau(candidate, lam):
-            results.append(candidate)
-    return results
+    spans = list(zip(ends, ends[1:]))
+    return [
+        SkewTableau(shape, tuple(tuple(val[a:b]) for a, b in spans))
+        for val in _lr_fillings(outer, inner, lam)
+    ]
 
 
 def _dominance_zero(outer: tuple[int, ...], inner: tuple[int, ...], lam: tuple[int, ...]) -> bool:
@@ -360,8 +327,8 @@ def count_lr_tableaux(
 ) -> int:
     """The Littlewood-Richardson coefficient ``c^{outer/inner}_{lam}``.
 
-    It is the number of leaves of the backtracker that
-    :func:`enumerate_lr_tableaux` lists, counted without building a
+    It is the number of fillings :func:`enumerate_lr_tableaux` lists,
+    the leaves of the same backtracker, counted without building a
     tableau.  Each argument is normalized once; ``inner`` not inside
     ``outer`` raises ``ValueError``.  The backtracker runs only if
     :func:`dominance_zero` leaves the coefficient open:

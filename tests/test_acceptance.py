@@ -156,7 +156,7 @@ def test_criterion_7_structural_suites(tmp_path, six_box_problem, seven_term_pro
             fast = enumerate_lr_tableaux(shape, lam)
             slow = brute_force_lr(shape, lam)
             assert [t.rows for t in fast] == [t.rows for t in slow]
-            # the listing rechecks each leaf; the count does not
+            # the listing and the count read the same backtracker's leaves
             assert count_lr_tableaux(outer, inner, lam) == len(slow)
 
     # (b) Monk's formula against polynomial products, n <= 5

@@ -559,15 +559,16 @@ def test_cli_as_subprocess(tmp_path):
     assert proc.stdout == "2\n"
 
 
+def cap_address_space():
+    """Limit the address space to 1 GB; a ``preexec_fn``, so it runs in
+    the child only."""
+    resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
+
+
 def test_verify_at_n_1000_in_bounded_memory(tmp_path):
     # Gr(1,n): the factor's Lehmer code (n-1, 0, ...) is already a
     # partition, so the oracle needs no climb towards w0 in S_n, which
     # costs about n^3 steps and overruns the timeout at n = 2000
-    limit = 1 << 30
-
-    def cap_address_space():  # runs in the child only
-        resource.setrlimit(resource.RLIMIT_AS, (limit, limit))
-
     path = tmp_path / "p.txt"
     for n in (1000, 2000):
         path.write_text(f"n = {n}\n1: {n - 1}\n")
@@ -577,6 +578,20 @@ def test_verify_at_n_1000_in_bounded_memory(tmp_path):
             preexec_fn=cap_address_space, timeout=20,
         )
         assert (proc.returncode, proc.stdout, proc.stderr) == (0, "rule=1 oracle=1 OK\n", ""), n
+
+
+def test_verify_gr2_600_with_two_rows_in_bounded_time(tmp_path):
+    # the oracle's products are in 600 variables, so each product term
+    # unpacks 600 exponents from its packed key: by shift and mask this
+    # answers in about 1 s, by a big-integer division each in about 15 s
+    path = tmp_path / "p.txt"
+    path.write_text("n = 600\n2: 598\n2: 598\n")
+    proc = subprocess.run(
+        [sys.executable, "-m", "lrflags.cli", "verify", str(path)],
+        capture_output=True, text=True, env=child_env(),
+        preexec_fn=cap_address_space, timeout=8,
+    )
+    assert (proc.returncode, proc.stdout, proc.stderr) == (0, "rule=1 oracle=1 OK\n", "")
 
 
 def mutate(rng, text):

@@ -130,6 +130,22 @@ def test_packed_product_matches_naive_reference():
     assert (one * IntPolynomial.zero(0)).is_zero
 
 
+def test_packed_product_at_a_field_width_boundary():
+    # the largest exponent sum fills a k-bit field exactly (2**k - 1),
+    # then needs one bit more (2**k); a field one bit too narrow carries
+    # into the next variable's
+    rng = random.Random(31)
+    for k in (2, 3, 6):
+        for top in (2**k - 1, 2**k):
+            for _ in range(10):
+                a = rng.randint(1, top - 1)
+                p = random_polynomial(rng, 3, a) + IntPolynomial.monomial((a, 0, 0), 3)
+                q = random_polynomial(rng, 3, top - a) + IntPolynomial.monomial((top - a, 0, 0), 5)
+                product = (p * q).terms()
+                assert product == naive_product(p, q), (p, q)
+                assert max(map(max, product)) == top
+
+
 def test_packed_product_edge_cases():
     a, b = x(1, 3), x(2, 3)
     # the cross terms cancel and are not stored

@@ -302,9 +302,14 @@ def test_counting_builds_no_tableaux(monkeypatch):
     assert sum(count_lr_tableaux(*t) for t in triples) > len(triples)
     assert calls["SkewTableau"] == calls["is_lr_tableau"] == 0
     assert calls["normalize_partition"] <= 3 * len(triples)
-    # listing still checks every filling it returns
-    listed = enumerate_lr_tableaux(SkewShape((4, 3, 2, 1), (3, 2, 1)), (3, 1))
-    assert calls["is_lr_tableau"] == len(listed) > 1
+    # listing builds one tableau per leaf of the same backtracker and
+    # checks none of them again; each still passes the predicate
+    calls["SkewTableau"] = 0
+    shape = SkewShape((4, 3, 2, 1), (3, 2, 1))
+    listed = enumerate_lr_tableaux(shape, (3, 1))
+    assert calls["is_lr_tableau"] == 0
+    assert calls["SkewTableau"] == len(listed) == count_lr_tableaux(shape.outer, shape.inner, (3, 1)) > 1
+    assert all(is_lr_tableau(t, (3, 1)) for t in listed)
 
 
 def test_lr_symmetric_sum_in_box():
@@ -327,9 +332,10 @@ def test_lr_symmetric_sum_in_box():
 
 
 def test_pieri_listing_matches_the_backtracker():
-    # a one-row or one-column content is listed in closed form; on every
-    # skew shape with outer in a 6 x 6 box of at most 10 cells and 1..8
-    # skew cells, that listing is the backtracker's, cut into rows
+    # a one-row or one-column content is a strip with at most one
+    # filling; on every skew shape with outer in a 6 x 6 box of at most
+    # 10 cells and 1..8 skew cells, the listing is the backtracker's
+    # leaves, cut into rows
     parts = [p for p in partitions_in_box(6, 6) if sum(p) <= 10]
     shapes = pairs = strips = 0
     for outer in parts:
