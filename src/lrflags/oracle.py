@@ -43,7 +43,11 @@ permutation ``s`` exactly when ``e`` sorted in decreasing order is
 componentwise at most ``delta``.  A monomial failing that bound can never
 reach a permuted staircase, so the top-degree products of
 ``oracle_intersection_number``, ``oracle_coefficient`` and
-``coefficient_identity_check`` drop it after every factor.
+``coefficient_identity_check`` drop it after every factor.  They multiply
+with ``IntPolynomial.staircase_product``, which keeps each monomial
+packed into one integer from the first factor to the last, tests the
+bound on its packed fields and unpacks only the survivors of the last
+factor.
 ``descent_support_check`` keeps the full product: its
 ``schubert_expand`` reads classes below top degree, which pruned
 monomials can still reach.
@@ -64,7 +68,6 @@ from __future__ import annotations
 
 import itertools
 from bisect import bisect_left, insort
-from operator import le
 from typing import Iterable, Sequence
 
 from .partitions import (
@@ -147,10 +150,14 @@ def schubert_polynomial(w: Sequence[int]) -> IntPolynomial:
     {(1, 0, 0): 1}
     """
     try:
-        # only checked permutations are stored, so a hit needs no check
-        return _schubert_cache[w]
+        poly = _schubert_cache[w]
     except (KeyError, TypeError):  # a miss, or an unhashable word
         pass
+    else:
+        # only checked permutations are stored, but (1.0, 2.0) == (1, 2) hits
+        # too: a hit answers only for integer entries, which the check accepts
+        if all(isinstance(v, int) for v in w):
+            return poly
     w = check_permutation(w)
     if len(_schubert_cache) >= _SCHUBERT_CACHE_CAP:
         _schubert_cache.clear()
@@ -211,26 +218,19 @@ def _top_product(poly: IntPolynomial, words: Iterable[tuple[int, ...]]) -> IntPo
     """``poly`` times the classes of ``words``, less every monomial that
     cannot reach a permutation of the staircase ``delta = (n-1, ..., 0)``.
 
-    After each factor it keeps only the monomials whose exponents, sorted
-    in decreasing order, are componentwise at most ``delta``.  Later
-    factors only raise exponents, and by Hall's condition a monomial
-    failing the bound divides no permuted staircase monomial, so
-    ``staircase_coefficient``, which reads only those, gives the same
-    answer here as on the full product.  The bound says nothing about
-    classes below top degree, so ``descent_support_check`` multiplies
-    with ``_class_product`` instead.
+    ``IntPolynomial.staircase_product`` keeps, after each factor, only
+    the monomials whose exponents, sorted in decreasing order, are
+    componentwise at most ``delta``, testing them on their packed keys,
+    and unpacks only the last factor's survivors.  Later factors only
+    raise exponents, and by Hall's condition a monomial failing the bound
+    divides no permuted staircase monomial, so ``staircase_coefficient``,
+    which reads only those, gives the same answer here as on the full
+    product.  Each factor's Schubert polynomial is built only when the
+    product reaches it, and none once it is zero.  The bound says nothing
+    about classes below top degree, so ``descent_support_check``
+    multiplies with ``_class_product`` instead.
     """
-    n = poly.nvars
-    steps = range(n)
-    for w in words:
-        terms = (poly * schubert_polynomial(w)).terms()
-        # sorted increasing, e is at most (0, 1, ..., n-1): delta read backwards
-        poly = IntPolynomial._wrap(
-            n, {e: c for e, c in terms.items() if all(map(le, sorted(e), steps))}
-        )
-        if poly.is_zero:
-            break
-    return poly
+    return poly.staircase_product(map(schubert_polynomial, words))
 
 
 def _block_staircase(alpha: Sequence[int], n: int) -> IntPolynomial:

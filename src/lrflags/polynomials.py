@@ -3,11 +3,20 @@
 Terms are stored as a map from exponent tuples (fixed length, entries
 non-negative) to Python integers, so all arithmetic is exact at any
 size.  Zero coefficients are never stored.
+
+Multiplication packs each exponent tuple into one integer key, a field
+per variable, so that adding keys adds exponents.  This module is the
+only one that knows the key format.  ``IntPolynomial.staircase_product``
+multiplies by a sequence of factors and keeps the keys packed between
+them: after each factor it drops, on the packed fields, every monomial
+that divides no permutation of the staircase monomial, and only the
+survivors of the last factor are unpacked.  ``*`` is the same chain with
+one factor and no bound.
 """
 
 from __future__ import annotations
 
-from operator import index, lshift
+from operator import index, le, lshift
 from typing import Iterable, Mapping
 
 __all__ = ["IntPolynomial"]
@@ -116,39 +125,99 @@ class IntPolynomial:
     def __mul__(self, other: "IntPolynomial") -> "IntPolynomial":
         """Product of two polynomials, or of a polynomial and an integer.
 
-        Each exponent tuple ``e`` is packed into the integer
-        ``sum(e[i] << i * width)``, ``width`` bits per variable, with
-        ``width`` the bit length of the largest exponent of ``self`` plus
-        the largest exponent of ``other``.  No field of a sum of two packed
-        keys reaches ``2**width``, so adding keys never carries and the sum
-        is the packed key of the product monomial.  Each term pair costs
-        one integer addition and one dict update; only the product's terms
-        are unpacked, each field by one shift and one mask.
+        The one-factor, unbounded case of ``_chain``: every field sum is at
+        most the largest exponent of ``self`` plus that of ``other``.
         """
         if isinstance(other, int):
             return self.__rmul__(other)
         if not isinstance(other, IntPolynomial):
             return NotImplemented
-        self._check(other)
-        nvars = self.nvars
+        self._check(other)  # before the maxima: a 0-variable term has none
         top = 0
-        if nvars:  # an empty exponent tuple has no max
+        if self.nvars:  # an empty exponent tuple has no max
             top = max(map(max, self._terms), default=0) + max(map(max, other._terms), default=0)
-        width = max(1, top.bit_length())
-        shifts = range(0, width * nvars, width)
-        mask = (1 << width) - 1
-        right = [(sum(map(lshift, e, shifts)), c) for e, c in other._terms.items()]
-        packed: dict[int, int] = {}
-        get = packed.get
-        for e1, c1 in self._terms.items():
-            k1 = sum(map(lshift, e1, shifts))
-            for k2, c2 in right:
-                key = k1 + k2
-                packed[key] = get(key, 0) + c1 * c2
-        return IntPolynomial._wrap(
-            nvars,
-            {tuple([key >> s & mask for s in shifts]): c for key, c in packed.items() if c},
-        )
+        return self._chain((other,), top, staircase=False)
+
+    def staircase_product(self, factors: Iterable["IntPolynomial"]) -> "IntPolynomial":
+        """``self`` times each of ``factors`` in turn, keeping after each
+        factor only the monomials whose exponents, sorted increasingly, are
+        componentwise at most ``(0, 1, ..., nvars-1)``: the monomials that
+        divide some permutation of the staircase monomial.
+
+        Exponents are non-negative, so a monomial failing the bound fails
+        it in every product it divides; dropping it early loses nothing
+        the bound would keep in the full product.  The same holds for the
+        terms of ``self`` and of each factor, which are dropped before
+        multiplying, so every operand field is at most ``nvars - 1`` and
+        every field sum at most ``2 * nvars - 2``.  Factors are read one at
+        a time, and none is read once the product is zero.
+        """
+        return self._chain(factors, max(0, 2 * self.nvars - 2), staircase=True)
+
+    def _chain(
+        self, factors: Iterable["IntPolynomial"], top: int, staircase: bool
+    ) -> "IntPolynomial":
+        """``self`` times ``factors``, with every exponent tuple packed into
+        one integer key from the first factor to the last, and unpacked
+        only at the end.
+
+        ``top`` bounds every sum of two operand exponents.  A key holds one
+        field per variable, each wide enough for ``top``, so adding two keys
+        never carries from one field into the next and the sum is the key
+        of the product monomial.  When ``top`` fits a byte, the key is the
+        little-endian integer of the exponent bytes and ``int.to_bytes``
+        reads its fields back; otherwise each field is ``top.bit_length()``
+        bits, read by one shift and one mask.  Each term pair costs one
+        integer addition and one dict update.  With ``staircase``, the
+        bound of ``staircase_product`` is applied to the operands and to
+        each partial product, on the fields of its keys.
+        """
+        n = self.nvars
+        steps = range(n)
+        if top < 256:  # one byte per field, packed and read in C
+            def pack(exps: tuple[int, ...]) -> int:
+                return int.from_bytes(bytes(exps), "little")
+
+            def fields(key: int) -> Iterable[int]:
+                return key.to_bytes(n, "little")
+        else:
+            width = top.bit_length()
+            shifts = range(0, width * n, width)
+            mask = (1 << width) - 1
+
+            def pack(exps: tuple[int, ...]) -> int:
+                return sum(map(lshift, exps, shifts))
+
+            def fields(key: int) -> Iterable[int]:
+                return [key >> s & mask for s in shifts]
+
+        def operand(poly: IntPolynomial) -> dict[int, int]:
+            return {
+                pack(e): c
+                for e, c in poly._terms.items()
+                if not staircase or all(map(le, sorted(e), steps))
+            }
+
+        packed = operand(self)
+        for factor in factors:
+            self._check(factor)
+            right = list(operand(factor).items())
+            out: dict[int, int] = {}
+            get = out.get
+            for k1, c1 in packed.items():
+                for k2, c2 in right:
+                    key = k1 + k2
+                    out[key] = get(key, 0) + c1 * c2
+            if staircase:
+                # sorted increasingly, the fields are at most (0, 1, ..., n-1)
+                packed = {
+                    k: c for k, c in out.items() if c and all(map(le, sorted(fields(k)), steps))
+                }
+            else:
+                packed = {k: c for k, c in out.items() if c}
+            if not packed:
+                break
+        return IntPolynomial._wrap(n, {tuple(fields(k)): c for k, c in packed.items()})
 
     def divided_difference(self, i: int) -> "IntPolynomial":
         """``(f - s_i f) / (x_i - x_{i+1})`` for the variable swap ``s_i``.

@@ -60,6 +60,19 @@ def test_schubert_polynomial_base_cases():
             schubert_polynomial(word)
 
 
+def test_schubert_cache_hit_checks_the_word_like_a_miss(monkeypatch):
+    # (1.0, 2.0) == (1, 2) and the two hash alike, so a cached (1, 2)
+    # must not answer for the float word the check rejects
+    monkeypatch.setattr(oracle, "_schubert_cache", {})
+    with pytest.raises(ValueError, match=r"^1\.0 is not an integer$"):
+        schubert_polynomial((1.0, 2.0))
+    assert schubert_polynomial((1, 2)) == IntPolynomial.one(2)
+    with pytest.raises(ValueError, match=r"^1\.0 is not an integer$"):
+        schubert_polynomial((1.0, 2.0))
+    # a word of integers the check accepts still hits
+    assert schubert_polynomial((True, 2)) is schubert_polynomial((1, 2))
+
+
 def test_schubert_polynomial_of_large_identity():
     # both codes are partitions, so neither climbs: 0 and the staircase
     assert schubert_polynomial(identity(46)) == IntPolynomial.one(46)

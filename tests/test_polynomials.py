@@ -1,7 +1,10 @@
 import random
+from operator import add
 
 import pytest
 
+from lrflags.oracle import _block_staircase, schubert_polynomial
+from lrflags.permutations import dual, grassmannian_permutation, longest_with_descents_in
 from lrflags.polynomials import IntPolynomial
 
 
@@ -34,6 +37,10 @@ def test_arity_checked():
         IntPolynomial(2, {(1, 0, 0): 1})
     with pytest.raises(ValueError):
         x(1, 2) + x(1, 3)
+    # a product names the mismatch too, a zero-variable operand included
+    for left, right in ((x(1, 2), x(1, 3)), (x(1, 2), IntPolynomial.one(0))):
+        with pytest.raises(ValueError, match="different numbers of variables"):
+            left * right
 
 
 def test_negative_exponent_rejected():
@@ -135,7 +142,8 @@ def test_packed_product_at_a_field_width_boundary():
     # then needs one bit more (2**k); a field one bit too narrow carries
     # into the next variable's
     rng = random.Random(31)
-    for k in (2, 3, 6):
+    # k = 8 crosses from byte fields (top 255) to shifted ones (top 256)
+    for k in (2, 3, 6, 8, 9):
         for top in (2**k - 1, 2**k):
             for _ in range(10):
                 a = rng.randint(1, top - 1)
@@ -144,6 +152,74 @@ def test_packed_product_at_a_field_width_boundary():
                 product = (p * q).terms()
                 assert product == naive_product(p, q), (p, q)
                 assert max(map(max, product)) == top
+
+
+def below_staircase(exps):
+    return all(e <= i for i, e in enumerate(sorted(exps)))
+
+
+def naive_staircase_chain(poly, factors):
+    """Reference chain: tuple-sum products, each followed by the bound
+    (exponents sorted increasingly at most ``(0, 1, ..., n-1)``), which
+    the start's terms meet too."""
+    terms = {e: c for e, c in poly.terms().items() if below_staircase(e)}
+    for factor in factors:
+        out = {}
+        for e1, c1 in terms.items():
+            for e2, c2 in factor.terms().items():
+                exps = tuple(map(add, e1, e2))
+                out[exps] = out.get(exps, 0) + c1 * c2
+        terms = {e: c for e, c in out.items() if c and below_staircase(e)}
+    return terms
+
+
+def test_staircase_product_matches_the_naive_chain():
+    rng = random.Random(29)
+    for nvars in range(6):
+        for max_exp in (0, 1, 3, 12):
+            for _ in range(30):
+                start = random_polynomial(rng, nvars, max_exp)
+                factors = [random_polynomial(rng, nvars, max_exp) for _ in range(rng.randint(0, 3))]
+                chain = start.staircase_product(factors).terms()
+                assert chain == naive_staircase_chain(start, factors), (start, factors)
+    # a factor's arity is checked; none is read once the product is zero
+    with pytest.raises(ValueError):
+        IntPolynomial.one(2).staircase_product([IntPolynomial.one(3)])
+    read = []
+    factors = (read.append(i) or f for i, f in enumerate([IntPolynomial.monomial((2, 0))] * 3))
+    assert IntPolynomial.one(2).staircase_product(factors).is_zero
+    assert read == [0]
+
+
+def test_staircase_product_matches_the_naive_chain_on_problems():
+    from conftest import all_valid_problems, nonzero_sample
+
+    problems = [p for n in range(2, 5) for p in all_valid_problems(n)] + nonzero_sample(7, 77)
+    for problem in problems:
+        n = problem.n
+        words = [grassmannian_permutation(a, lam, n) for a, lam in problem.terms]
+        factors = [schubert_polynomial(w) for w in words]
+        start = _block_staircase(problem.alpha, n)
+        assert start.staircase_product(factors).terms() == naive_staircase_chain(start, factors), problem
+        # the dual-class pairing, from 1
+        factors.append(schubert_polynomial(dual(longest_with_descents_in(problem.alpha, n))))
+        one = IntPolynomial.one(n)
+        assert one.staircase_product(factors).terms() == naive_staircase_chain(one, factors), problem
+
+
+@pytest.mark.parametrize("n", [128, 129])
+def test_staircase_product_on_either_side_of_byte_fields(n):
+    # field sums reach 2n - 2: 254 fits a byte at n = 128, 256 at n = 129 does not
+    row = schubert_polynomial(grassmannian_permutation(2, (n - 2,), n))
+    start = _block_staircase((2,), n)
+    chain = start.staircase_product([row, row]).terms()
+    assert chain == naive_staircase_chain(start, [row, row]) and len(chain) > 1
+    # x1^(n-1) twice fills the first field to exactly 2n - 2, past the
+    # bound; a field too narrow carries it into a surviving x2
+    power = schubert_polynomial(grassmannian_permutation(1, (n - 1,), n))
+    assert power.terms() == {(n - 1,) + (0,) * (n - 1): 1}
+    assert IntPolynomial.one(n).staircase_product([power]) == power
+    assert IntPolynomial.one(n).staircase_product([power, power]).is_zero
 
 
 def test_packed_product_edge_cases():
