@@ -30,6 +30,7 @@ from itertools import product as iter_product, repeat
 from operator import mul
 
 from . import filtered
+# enumerate_filtered_tableaux is unused here, but the layer tracer patches this module's name for it
 from .filtered import (
     count_monk_chains,
     enumerate_filtered_tableaux,
@@ -125,9 +126,13 @@ def parse_problem(text: str) -> ProblemDocument:
     return ProblemDocument(n, tuple(terms), alpha)
 
 
-def _step_block(i: int, a: int, filling) -> list[str]:
-    """The ``step i a=...`` line of one step, then its skew diagram."""
-    inner, rows = filling.shape.inner, filling.rows
+def _step_block(i: int, a: int, inner: tuple[int, ...], rows) -> list[str]:
+    """The ``step i a=...`` line of one step, then its skew diagram.
+
+    ``inner`` is the inner partition of the step's skew shape and
+    ``rows`` the filling's entries, one tuple per row of its outer
+    partition.
+    """
     # each row's dots, then the digits of its entries, if it has any
     lines = [f"step {i} a={a}", *map(mul, repeat("."), inner), *repeat("", len(rows) - len(inner))]
     for r, row in enumerate(rows, 1):
@@ -141,13 +146,14 @@ def render_filtered_tableau(ft, index: int) -> list[str]:
 
     Each step prints its skew diagram with ``.`` for cells already filled
     (or left of the row's span) and the digit entries of the new cells.
-    This is the reference for the ``enumerate`` output, which builds the
-    same step blocks but renders each live edge's fillings once, from the
-    trimmed shape graph, and joins the blocks along each chain.
+    This is the reference for the ``enumerate`` output, which renders
+    through the same step blocks, but from the trimmed shape graph's row
+    tuples, each live edge's fillings once, with no tableau object, and
+    joins the blocks along each chain.
     """
     lines = [f"tableau {index}"]
-    for i, (a, _) in enumerate(ft.terms):
-        lines += _step_block(i + 1, a, ft.fillings[i])
+    for i, ((a, _), filling) in enumerate(zip(ft.terms, ft.fillings), 1):
+        lines += _step_block(i, a, filling.shape.inner, filling.rows)
     return lines
 
 
@@ -199,9 +205,11 @@ def _cmd_enumerate(doc: ProblemDocument, args) -> int:
 
     Reads the trimmed shape graph of :func:`enumerate_filtered_tableaux`
     from its builder and renders each live edge's fillings to step-block
-    text once.  Then it walks the graph's chains in the same order, on
-    one path array indexed by level, and writes each combination of the
-    path's blocks as one tableau, joined at the leaf.
+    text once, straight from the skew's inner boundary and the fillings'
+    row tuples, so no skew shape or tableau object is built.  Then it
+    walks the graph's chains in the same order, on one path array indexed
+    by level, and writes each combination of the path's blocks as one
+    tableau, joined at the leaf.
     """
     problem = doc.problem()
     chosen = validate_problem(problem, _cut_set(doc, args.alpha))
@@ -214,7 +222,8 @@ def _cmd_enumerate(doc: ProblemDocument, args) -> int:
         for (i, (a, _)), level in zip(enumerate(problem.terms, 1), levels):
             for edges in level.values():
                 edges[:] = [
-                    (outer, ["\n".join(_step_block(i, a, f)) for f in found]) for outer, found in edges
+                    (outer, ["\n".join(_step_block(i, a, skew, rows)) for rows in found])
+                    for outer, skew, found in edges
                 ]
         # the tableau line, one block per step, the blank line.  One list
         # serves every tableau: a tuple of the path's length built per

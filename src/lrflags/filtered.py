@@ -43,12 +43,14 @@ floor per next cut ``b`` and cuts it after its last row whose floor
 exceeds the row's offset, never before row ``b``.
 Counting folds the multiplicities of the live edges into a dynamic
 program from the target back to the empty shape; enumeration lists the
-fillings of the live edges only, once each, drops an edge with none
-(``_trimmed_graph``), and walks the chains of what is left depth first
-on one path array indexed by level (``_chains``): in lexicographic order
-on those diagrams, then the product of the steps' fillings, each in
-row-major lexicographic order.  The command line renders each live
-edge's fillings to text once and walks the same graph.
+fillings of the live edges only, once each, as row tuples cut from the
+backtracker's leaves with no tableau object built, drops an edge with
+none (``_trimmed_graph``), and walks the chains of what is left depth
+first on one path array indexed by level (``_chains``): in lexicographic
+order on those diagrams, then the product of the steps' fillings, each
+in row-major lexicographic order.  The library's generator wraps each
+live edge's rows in tableaux once; the command line renders them to
+text once, building no skew shape or tableau, and walks the same graph.
 """
 
 from __future__ import annotations
@@ -60,10 +62,12 @@ from typing import Iterator, Sequence
 from .partitions import Shape, Staircase
 from .permutations import ValleyPermutation, check_permutation
 from .problems import ProblemError, SchubertProblem, validate_problem
+# enumerate_lr_tableaux is unused here, but the layer tracer patches this module's name for it
 from .tableaux import (
     SkewShape,
     SkewTableau,
     _dominance_zero,
+    _lr_rows,
     count_lr_tableaux,
     enumerate_lr_tableaux,
     is_lr_tableau,
@@ -349,42 +353,46 @@ def _target(problem: SchubertProblem, target: Shape | None) -> Shape:
 
 def _trimmed_graph(
     problem: SchubertProblem, target: Shape
-) -> list[dict[tuple[int, ...], list[tuple[tuple[int, ...], list[SkewTableau]]]]] | None:
+) -> list[dict[tuple[int, ...], list[tuple[tuple[int, ...], tuple[int, ...], list]]]] | None:
     """The shape graph trimmed back from ``target``, with each live edge's fillings.
 
     ``target`` must lie in a region the problem's steps can fill, as
     :func:`_target` checks.  Returns ``None`` when its size differs from
     the total content size, since no tableau exists.  Otherwise returns
     one dict per term, mapping each inner shape to its live edges
-    ``(outer, fillings)`` in ascending lexicographic order of ``outer``:
-    level by level from the target back, the fillings of each edge into a
-    shape that reaches the target are listed once, on the skew the forward
-    pass carried (a Pieri step computes its own), and an edge with none is
-    dropped.  Every tableau through an edge shares its list, and no
+    ``(outer, skew, fillings)`` in ascending lexicographic order of
+    ``outer``: level by level from the target back, the fillings of each
+    edge into a shape that reaches the target are listed once, and an
+    edge with none is dropped.  ``skew`` is the step's inner boundary as
+    the forward pass carried it (a Pieri step computes its own) with its
+    trailing zero rows stripped, the inner partition :class:`SkewShape`
+    would hold.  ``fillings`` holds each filling's row tuples, as
+    ``_lr_rows`` lists them: nothing is normalized again and no tableau
+    is built.  Every tableau through an edge shares its list, and no
     multiplicity is counted apart from it.
     """
     if target.size != problem.total_size:
         return None
     staircase = target.staircase
-
-    def fillings(outer, skew, inner, lam):
-        if skew is None:  # a Pieri step: the graph carries no skew for it
-            skew = _step_inner(outer, inner, staircase)
-        return enumerate_lr_tableaux(SkewShape(outer, skew), lam)
-
     steps = list(_shape_graph(problem.terms, staircase, target.embedded))
     live = {target.embedded}
     for k in range(len(steps) - 1, -1, -1):
         lam = problem.terms[k][1]
-        steps[k] = {
-            inner: [
-                (outer, found)
-                for outer, skew in succ
-                if outer in live and (found := fillings(outer, skew, inner, lam))
-            ]
-            for inner, succ in steps[k].items()
-        }
-        live = {inner for inner, succ in steps[k].items() if succ}
+        trimmed = {}
+        for inner, succ in steps[k].items():
+            kept = trimmed[inner] = []
+            for outer, skew in succ:
+                if outer not in live:
+                    continue
+                if skew is None:  # a Pieri step: the graph carries no skew for it
+                    skew = _step_inner(outer, inner, staircase)
+                # a partition's zero rows are its last ones
+                skew = skew[: len(skew) - skew.count(0)]
+                found = _lr_rows(outer, skew, lam)
+                if found:
+                    kept.append((outer, skew, found))
+        steps[k] = trimmed
+        live = {inner for inner, kept in trimmed.items() if kept}
     return steps
 
 
@@ -394,8 +402,8 @@ def _chains(
     """Every chain from the empty shape through ``levels``, in lexicographic order.
 
     ``levels`` maps, per level, an inner shape to its edges ``(outer,
-    payload)`` in ascending order of ``outer``, as :func:`_trimmed_graph`
-    returns them.  Yields one list per chain, indexed by level, holding the
+    payload)`` in ascending order of ``outer``, as the callers make them
+    from :func:`_trimmed_graph`'s edges.  Yields one list per chain, indexed by level, holding the
     edge taken at each level.  The walk is depth first and overwrites that
     one list in place, so a chain costs one assignment per level it
     changes, and a yielded list is valid only until the next one.
@@ -435,7 +443,8 @@ def enumerate_filtered_tableaux(
 
     Walks the shape graph of :func:`count_filtered_tableaux` forward,
     then trims it back from the target and lists each live edge's
-    fillings once (:func:`_trimmed_graph`).  The chains of the trimmed
+    fillings once, as row tuples (:func:`_trimmed_graph`), which become
+    tableaux on one skew shape per live edge.  The chains of the trimmed
     graph are walked depth first on one path array indexed by level
     (:func:`_chains`), so memory is bounded by the graph, not the output,
     and a chain costs time linear in its length.  Each chain yields the
@@ -445,6 +454,12 @@ def enumerate_filtered_tableaux(
     levels = _trimmed_graph(problem, target)
     if levels is None:
         return
+    # each live edge's row tuples become tableaux on one shape, in place
+    for level in levels:
+        for edges in level.values():
+            for j, (outer, skew, found) in enumerate(edges):
+                shape = SkewShape(outer, skew)
+                edges[j] = outer, [SkewTableau(shape, rows) for rows in found]
     staircase, terms = target.staircase, problem.terms
     for path in _chains(levels):
         chain = ((), *[outer for outer, _ in path])

@@ -19,8 +19,10 @@ sorted lexicographically by row-major entry sequence, the package's
 canonical order.  Rows weakly increase, so the ballot condition reduces
 to a constant-time check per placed cell: no more ``v`` placed than
 ``v-1`` in the rows above.  :func:`count_lr_tableaux` counts the
-backtracker's leaves and builds no tableau; :func:`enumerate_lr_tableaux`
-builds one tableau per leaf and checks none again.
+backtracker's leaves and builds no tableau; the private ``_lr_rows`` cuts
+each leaf into row tuples, which the rule's enumeration reads as they are
+and :func:`enumerate_lr_tableaux` wraps in one tableau each, checking none
+again.
 :func:`is_lr_tableau` checks the definition cell by cell, on no hot path.
 
 Before it runs the backtracker, :func:`count_lr_tableaux` applies the
@@ -241,6 +243,26 @@ def _lr_fillings(
         k += 1
 
 
+def _lr_rows(
+    outer: tuple[int, ...], inner: tuple[int, ...], lam: tuple[int, ...]
+) -> list[tuple[tuple[int, ...], ...]]:
+    """Each leaf of :func:`_lr_fillings`, cut into one tuple per row of ``outer``.
+
+    The arguments are as :func:`_lr_fillings` takes them, except that
+    ``inner`` may end in zero rows.  A row with no skew cell gives ``()``,
+    so a filling has ``len(outer)`` rows, as a :class:`SkewTableau` on
+    ``outer/inner`` holds them; no tableau is built.
+    """
+    widths = map(sub, outer, inner + (0,) * (len(outer) - len(inner)))
+    ends = list(accumulate(widths, initial=0))
+    spans = list(zip(ends, ends[1:]))
+    found = []
+    for val in _lr_fillings(outer, inner, lam):
+        entries = tuple(val)
+        found.append(tuple([entries[a:b] for a, b in spans]))
+    return found
+
+
 def enumerate_lr_tableaux(shape: SkewShape, lam: Iterable[int]) -> list[SkewTableau]:
     """All Littlewood-Richardson fillings of ``shape`` with content ``lam``.
 
@@ -253,14 +275,7 @@ def enumerate_lr_tableaux(shape: SkewShape, lam: Iterable[int]) -> list[SkewTabl
     lam = normalize_partition(lam)
     if shape.size != sum(lam):
         return []
-    outer, inner = shape.outer, shape.inner
-    widths = map(sub, outer, inner + (0,) * (len(outer) - len(inner)))
-    ends = list(accumulate(widths, initial=0))
-    spans = list(zip(ends, ends[1:]))
-    return [
-        SkewTableau(shape, tuple(tuple(val[a:b]) for a, b in spans))
-        for val in _lr_fillings(outer, inner, lam)
-    ]
+    return [SkewTableau(shape, rows) for rows in _lr_rows(shape.outer, shape.inner, lam)]
 
 
 def _dominance_zero(outer: tuple[int, ...], inner: tuple[int, ...], lam: tuple[int, ...]) -> bool:

@@ -406,6 +406,9 @@ def test_enumerate_stream_matches_reference_renderer(tmp_path):
         ("n = 4\n2: 2\n2: 1,1\n", None),  # a valid problem whose answer is 0
         (SEVEN_TERM_18, (5, 3, 2)),
         ("n = 4\n2: 1\n2: 1\n2: 1\n2: 1\n", (1, 2)),  # a wider alpha vanishes
+        # the full flag's all-box problem: tall skews with one nonempty row
+        ("n = 7\n" + "".join(f"{a}: 1\n" for a in range(1, 7) for _ in range(7 - a)), None),
+        ("n = 3\n1: -\n1: 1\n1: 1\n2: 1\n", None),  # an empty content's empty step
     ]
     cases += [(problem_text(random_valid_problem(rng, 6)), None) for _ in range(12)]
     counts = set()
@@ -416,6 +419,27 @@ def test_enumerate_stream_matches_reference_renderer(tmp_path):
         assert out == reference_enumeration(text, alpha and sorted(alpha))
         counts.add(out.rsplit("count ", 1)[1])
     assert {"0\n", "2\n", "18\n", "42\n", "262\n"} <= counts
+
+
+def test_enumerate_builds_no_skew_objects(monkeypatch, tmp_path):
+    # the CLI renders each live edge's fillings from the trimmed graph's row
+    # tuples: it constructs no SkewShape and no SkewTableau
+    built = Counter()
+    for cls in (SkewShape, SkewTableau):
+
+        def counting(self, _original=cls.__post_init__, _name=cls.__name__):
+            built[_name] += 1
+            _original(self)
+
+        monkeypatch.setattr(cls, "__post_init__", counting)
+    for text, count in ((SEVEN_TERM_18, 18), ("n = 6\n" + "3: 1\n" * 9, 42)):
+        code, out, err = run(["enumerate"], text=text, tmp_path=tmp_path)
+        assert (code, err) == (0, "")
+        assert out.endswith(f"count {count}\n")
+    assert not built, built
+    # the counters do see the library's objects
+    assert len(list(enumerate_filtered_tableaux(parse_problem(SEVEN_TERM_18).problem()))) == 18
+    assert built["SkewShape"] and built["SkewTableau"] >= 18
 
 
 class DiscardingSink(io.TextIOBase):

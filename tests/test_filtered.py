@@ -59,18 +59,18 @@ def test_enumerate_lists_each_edge_once(monkeypatch, six_box_problem, seven_term
     import lrflags.filtered
     import lrflags.tableaux
 
-    original = lrflags.tableaux.enumerate_lr_tableaux
+    original = lrflags.tableaux._lr_rows
     for problem in (six_box_problem, seven_term_problem):
         expected = list(enumerate_filtered_tableaux(problem))
         listed = Counter()
 
-        def recorder(shape, lam):
-            listed[shape, tuple(lam)] += 1
-            return original(shape, lam)
+        def recorder(outer, inner, lam):
+            listed[outer, inner, tuple(lam)] += 1
+            return original(outer, inner, lam)
 
         with monkeypatch.context() as patch:
-            patch.setattr(lrflags.tableaux, "enumerate_lr_tableaux", recorder)
-            patch.setattr(lrflags.filtered, "enumerate_lr_tableaux", recorder)
+            patch.setattr(lrflags.tableaux, "_lr_rows", recorder)
+            patch.setattr(lrflags.filtered, "_lr_rows", recorder)
             assert list(enumerate_filtered_tableaux(problem)) == expected
         assert listed and max(listed.values()) == 1, listed.most_common(3)
 
@@ -87,16 +87,16 @@ def test_enumerate_lists_only_live_edges(
     import lrflags.filtered as filtered
 
     calls, listed = Counter(), Counter()
-    original_count, original_list = filtered.count_lr_tableaux, filtered.enumerate_lr_tableaux
+    original_count, original_list = filtered.count_lr_tableaux, filtered._lr_rows
     original_step_shapes = filtered._step_shapes
 
     def counting(*args):
         calls["count_lr_tableaux"] += 1
         return original_count(*args)
 
-    def listing(shape, lam):
-        listed[shape, tuple(lam)] += 1
-        return original_list(shape, lam)
+    def listing(outer, inner, lam):
+        listed[outer, inner, tuple(lam)] += 1
+        return original_list(outer, inner, lam)
 
     def proposing(*args):
         proposed = original_step_shapes(*args)
@@ -104,7 +104,7 @@ def test_enumerate_lists_only_live_edges(
         return proposed
 
     monkeypatch.setattr(filtered, "count_lr_tableaux", counting)
-    monkeypatch.setattr(filtered, "enumerate_lr_tableaux", listing)
+    monkeypatch.setattr(filtered, "_lr_rows", listing)
     monkeypatch.setattr(filtered, "_step_shapes", proposing)
     # on Gr(3, 7) a shape's only edges into shapes that complete to the
     # target have no filling, though the dominance test misses it
@@ -121,7 +121,7 @@ def test_enumerate_lists_only_live_edges(
         totals.append((calls["proposed"], sum(listed.values()), len(live)))
         target = Shape.full(problem.staircase).embedded
         completing = _completing(_weighed(problem.terms, problem.staircase, target), target)
-        assert {shape.outer for shape, _ in listed} <= completing
+        assert {outer for outer, _, _ in listed} <= completing
     # (proposals, listings, edges tableaux pass through): the 18 problem
     # lists 2 edges no tableau passes through, one into (5, 2, 2) whose
     # (2, 2) step has no filling, and the one out of that shape; Gr(3, 7)

@@ -361,6 +361,31 @@ def test_pieri_listing_matches_the_backtracker():
     assert (shapes, pairs, strips) == (2159, 4318, 1662)
 
 
+def test_row_lister_gives_the_tableaux_rows():
+    # the rule lists fillings as row tuples, with no tableau built: on every
+    # skew in a 4 x 4 box, its inner as it is and padded with zero rows to
+    # the outer's length, against every content of the skew's size, the
+    # row lister gives the rows of the listed tableaux, one per outer row,
+    # empty rows included
+    box = list(partitions_in_box(4, 4))
+    pairs = listed = 0
+    for outer in box:
+        for inner in box:
+            if not contains(outer, inner):
+                continue
+            shape = SkewShape(outer, inner)
+            padded = inner + (0,) * (len(outer) - len(inner))
+            for lam in box:
+                if sum(lam) != shape.size:
+                    continue
+                expected = [t.rows for t in enumerate_lr_tableaux(shape, lam)]
+                assert tableaux._lr_rows(outer, inner, lam) == expected, (outer, inner, lam)
+                assert tableaux._lr_rows(outer, padded, lam) == expected, (outer, padded, lam)
+                pairs += 1
+                listed += len(expected)
+    assert (pairs, listed) == (8084, 3663)
+
+
 def reference_is_lr_tableau(tableau: SkewTableau, lam) -> bool:
     """The per-cell definition of an LR filling, through the public accessors."""
     try:

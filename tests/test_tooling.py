@@ -32,13 +32,15 @@ def test_trace_patches_resolve():
 
 
 def test_rule_looks_up_lr_layer_at_call_time(monkeypatch, seven_term_problem):
-    # the tracer patches these names on lrflags.filtered; a callable bound at
-    # import time (say, a default argument) would bypass the patch and read 0.
-    # The 18 problem's (2, 2) and (2, 1) contents take their multiplicities
-    # from count_lr_tableaux; one-row and one-column steps do not.
+    # the rule looks these names up on lrflags.filtered when called, so a
+    # patch there sees every call; a callable bound at import time (say, a
+    # default argument) would bypass it and read 0.  The 18 problem's (2, 2)
+    # and (2, 1) contents take their multiplicities from count_lr_tableaux;
+    # one-row and one-column steps do not.  Listing goes through _lr_rows
+    # for every step.
     import lrflags.filtered as filtered
 
-    calls = {"count_lr_tableaux": 0, "enumerate_lr_tableaux": 0}
+    calls = {"count_lr_tableaux": 0, "_lr_rows": 0}
     for name in calls:
         original = getattr(filtered, name)
 
@@ -50,7 +52,7 @@ def test_rule_looks_up_lr_layer_at_call_time(monkeypatch, seven_term_problem):
     assert filtered.count_filtered_tableaux(seven_term_problem) == 18
     assert calls["count_lr_tableaux"] > 0
     assert len(list(filtered.enumerate_filtered_tableaux(seven_term_problem))) == 18
-    assert calls["enumerate_lr_tableaux"] > 0
+    assert calls["_lr_rows"] > 0
 
 
 def test_cli_looks_up_enumeration_at_call_time(monkeypatch, tmp_path):
