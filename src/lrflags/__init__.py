@@ -13,7 +13,6 @@ from .partitions import (
     Staircase,
     conjugate,
     contains,
-    fits_in_rectangle,
     normalize_partition,
     partitions_in_box,
 )
@@ -50,7 +49,6 @@ from .filtered import (
     count_monk_chains,
     enumerate_filtered_tableaux,
     intersection_number,
-    monk_shape,
     valley_coefficient,
 )
 from .polynomials import IntPolynomial
@@ -71,8 +69,8 @@ from .oracle import (
 __version__ = "0.1.0"
 
 __all__ = [
-    "Shape", "Staircase", "conjugate", "contains", "fits_in_rectangle",
-    "normalize_partition", "partitions_in_box",
+    "Shape", "Staircase", "conjugate", "contains", "normalize_partition",
+    "partitions_in_box",
     "SkewShape", "SkewTableau", "count_lr_tableaux", "dominance_zero",
     "enumerate_lr_tableaux", "is_ballot", "is_lr_tableau",
     "ValleyPermutation", "descent_set", "grassmannian_permutation",
@@ -81,8 +79,7 @@ __all__ = [
     "DimensionMismatchError", "ProblemError", "SchubertProblem", "dimension",
     "refine_problem", "refine_to_full", "validate_problem",
     "FilteredTableau", "count_filtered_tableaux", "count_monk_chains",
-    "enumerate_filtered_tableaux", "intersection_number", "monk_shape",
-    "valley_coefficient",
+    "enumerate_filtered_tableaux", "intersection_number", "valley_coefficient",
     "IntPolynomial",
     "a_bruhat_leq", "coefficient_identity_check", "descent_support_check",
     "iterate_monk", "monk_multiply", "oracle_coefficient",

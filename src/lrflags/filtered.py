@@ -60,7 +60,7 @@ from itertools import product as iter_product
 from typing import Iterator, Sequence
 
 from .partitions import Shape, Staircase
-from .permutations import ValleyPermutation, check_permutation
+from .permutations import ValleyPermutation
 from .problems import ProblemError, SchubertProblem, validate_problem
 # enumerate_lr_tableaux is unused here, but the layer tracer patches this module's name for it
 from .tableaux import (
@@ -80,7 +80,6 @@ __all__ = [
     "intersection_number",
     "valley_coefficient",
     "count_monk_chains",
-    "monk_shape",
 ]
 
 
@@ -403,10 +402,11 @@ def _chains(
 
     ``levels`` maps, per level, an inner shape to its edges ``(outer,
     payload)`` in ascending order of ``outer``, as the callers make them
-    from :func:`_trimmed_graph`'s edges.  Yields one list per chain, indexed by level, holding the
-    edge taken at each level.  The walk is depth first and overwrites that
-    one list in place, so a chain costs one assignment per level it
-    changes, and a yielded list is valid only until the next one.
+    from :func:`_trimmed_graph`'s edges.  Yields one list per chain,
+    indexed by level, holding the edge taken at each level.  The walk is
+    depth first and overwrites that one list in place, so a chain costs
+    one assignment per level it changes, and a yielded list is valid only
+    until the next one.
     """
     depth = len(levels)
     path: list = [None] * depth
@@ -559,37 +559,3 @@ def count_monk_chains(problem: SchubertProblem) -> int:
         if not level:
             return 0
     return level.get(target, 0)
-
-
-def monk_shape(w: Sequence[int], alpha: Sequence[int], n: int) -> Shape | None:
-    """The shape matched to ``w`` in a chain of single-box multiplications.
-
-    Column ``j`` of the shape (grid column ``j - min(alpha) + 1``) must
-    hold ``#{k <= j : w(k) > w(j+1)}`` cells for every
-    ``j in {min(alpha), ..., n-1}``; returns ``None`` when no shape in
-    the region does.
-    """
-    w = check_permutation(w)
-    if len(w) != n:
-        raise ValueError(f"{w} is not a permutation of 1..{n}")
-    staircase = Staircase(tuple(alpha), n)
-    alpha0 = staircase.alpha[0]
-    counts = []
-    for j in range(alpha0, n):
-        counts.append(sum(1 for k in range(j) if w[k] > w[j]))
-    # cells of column c occupy the topmost rows among those whose span
-    # includes c; upward closure forces exactly rows 1..count
-    emb = [0] * staircase.num_rows
-    for c0, cnt in enumerate(counts):
-        for i in range(cnt):
-            if i >= staircase.num_rows or staircase.offsets[i] > c0:
-                return None
-            emb[i] = max(emb[i], c0 + 1)
-    trimmed = tuple(emb)
-    while trimmed and trimmed[-1] == 0:
-        trimmed = trimmed[:-1]
-    if not staircase.is_valid_embedded(trimmed):
-        return None
-    if staircase.column_counts(trimmed) != tuple(counts):
-        return None
-    return Shape(staircase.extract(trimmed), staircase)

@@ -103,7 +103,6 @@ __all__ = [
     "schubert_polynomial",
     "staircase_coefficient",
     "class_coefficient",
-    "sum_of_first_variables",
     "oracle_intersection_number",
     "oracle_coefficient",
     "schubert_expand",
@@ -245,16 +244,6 @@ def _block_staircase(alpha: Sequence[int], n: int) -> IntPolynomial:
     return IntPolynomial.monomial(
         e for lo, hi in zip(ends, ends[1:]) for e in range(hi - lo - 1, -1, -1)
     )
-
-
-def sum_of_first_variables(a: int, n: int) -> IntPolynomial:
-    """``x1 + ... + xa``: the degree-one class pulled back from the
-    ``a``-th Grassmannian."""
-    a = cut_position(a, n)
-    poly = IntPolynomial.zero(n)
-    for i in range(1, a + 1):
-        poly = poly + IntPolynomial.variable(i, n)
-    return poly
 
 
 def _reduced_word(w: Sequence[int]) -> list[int]:

@@ -33,7 +33,6 @@ __all__ = [
     "normalize_partition",
     "contains",
     "conjugate",
-    "fits_in_rectangle",
     "partitions_in_box",
     "Staircase",
     "Shape",
@@ -131,19 +130,6 @@ def conjugate(partition: tuple[int, ...]) -> tuple[int, ...]:
     return tuple(sum(1 for r in partition if r > c) for c in range(partition[0]))
 
 
-def fits_in_rectangle(lam: tuple[int, ...], b: int, n: int) -> bool:
-    """True iff ``lam`` fits in the ``b x (n-b)`` rectangle.
-
-    ``b`` must be a cut position (see :func:`cut_position`).
-    """
-    return _fits(normalize_partition(lam), cut_position(b, n), n)
-
-
-def _fits(lam: tuple[int, ...], b: int, n: int) -> bool:
-    # the containment test, on a normalized partition and a checked cut
-    return len(lam) <= b and (not lam or lam[0] <= n - b)
-
-
 def partition_in_rectangle(
     lam: Iterable[int], b: int, n: int, error: type[ValueError] = ValueError
 ) -> tuple[int, ...]:
@@ -157,7 +143,7 @@ def partition_in_rectangle(
     """
     b = cut_position(b, n, error)
     lam = normalize_partition(lam)
-    if not _fits(lam, b, n):
+    if len(lam) > b or (lam and lam[0] > n - b):
         raise error(
             f"rectangle containment violated: partition {lam or '()'} "
             f"does not fit in {b} x {n - b}"

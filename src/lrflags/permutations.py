@@ -15,29 +15,24 @@ A permutation is a tuple ``(w(1), ..., w(n))``.  Conventions:
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable, Sequence
 
 from .partitions import as_int, cut_position, cut_set, normalize_partition, partition_in_rectangle
 
 __all__ = [
     "check_permutation",
     "identity",
-    "longest",
     "length",
     "descent_set",
     "dual",
     "swap_positions",
-    "simple_transposition",
     "grassmannian_permutation",
     "shape_of_grassmannian",
-    "reverse_prefix",
     "longest_with_descents_in",
     "ValleyPermutation",
     "valley_from_permutation",
     "valley_from_shape",
-    "all_valley_permutations",
 ]
 
 
@@ -51,11 +46,6 @@ def check_permutation(word: Sequence[int]) -> tuple[int, ...]:
 
 def identity(n: int) -> tuple[int, ...]:
     return tuple(range(1, as_int(n) + 1))
-
-
-def longest(n: int) -> tuple[int, ...]:
-    """The longest permutation ``n, n-1, ..., 1``."""
-    return tuple(range(as_int(n), 0, -1))
 
 
 def length(w: Sequence[int]) -> int:
@@ -89,11 +79,6 @@ def swap_positions(w: Sequence[int], j: int, k: int) -> tuple[int, ...]:
     return tuple(out)
 
 
-def simple_transposition(n: int, a: int) -> tuple[int, ...]:
-    a = cut_position(a, n)
-    return swap_positions(identity(n), a, a + 1)
-
-
 def grassmannian_permutation(b: int, lam: Iterable[int], n: int) -> tuple[int, ...]:
     """The permutation with shape ``lam`` and unique descent at ``b``.
 
@@ -123,11 +108,6 @@ def shape_of_grassmannian(w: Sequence[int], b: int) -> tuple[int, ...]:
         raise ValueError(f"{w} has descents {sorted(extra)} outside {{{b}}}")
     rows = [w[i - 1] - i for i in range(b, 0, -1)]
     return normalize_partition(rows)
-
-
-def reverse_prefix(w: Sequence[int], a: int) -> tuple[int, ...]:
-    """Reverse the first ``a`` values of ``w``."""
-    return tuple(list(w[:a])[::-1]) + tuple(w[a:])
 
 
 def longest_with_descents_in(alpha: Iterable[int], n: int) -> tuple[int, ...]:
@@ -221,12 +201,3 @@ def valley_from_shape(mu: Iterable[int], a: int, n: int) -> ValleyPermutation:
         raise ValueError(f"shape {mu} is not admissible for floor {a}, n={n}")
     tail = sorted(set(range(1, n + 1)) - set(head))
     return ValleyPermutation(tuple(head + tail), a)
-
-
-def all_valley_permutations(n: int) -> Iterator[ValleyPermutation]:
-    """All valley permutations of ``{1..n}``, one per (shape, floor) pair."""
-    for a in range(1, n + 1):
-        for prefix in itertools.combinations(range(1, n + 1), a):
-            head = list(prefix)[::-1]
-            tail = sorted(set(range(1, n + 1)) - set(prefix))
-            yield ValleyPermutation(tuple(head + tail), a)

@@ -1,4 +1,5 @@
-"""Shared fixtures: the worked examples and problem generators."""
+"""Shared fixtures: the worked examples, problem generators and the
+permutation, polynomial and shape helpers only tests call."""
 
 import random
 from itertools import combinations, product
@@ -6,7 +7,9 @@ from itertools import combinations, product
 import pytest
 
 from lrflags.filtered import intersection_number
-from lrflags.partitions import partitions_in_box
+from lrflags.partitions import Shape, Staircase, partitions_in_box
+from lrflags.permutations import ValleyPermutation, identity, swap_positions
+from lrflags.polynomials import IntPolynomial
 from lrflags.problems import SchubertProblem, dimension
 
 
@@ -161,3 +164,59 @@ def equal_size_wider_pairs():
                     for wider in strictly_wider(own, n):
                         if dimension(wider, n) == problem.total_size:
                             yield problem, wider
+
+
+def longest(n):
+    """The longest permutation ``n, n-1, ..., 1``."""
+    return tuple(range(n, 0, -1))
+
+
+def simple_transposition(n, a):
+    """The simple transposition ``s_a`` of ``S_n``."""
+    return swap_positions(identity(n), a, a + 1)
+
+
+def all_valley_permutations(n):
+    """All valley permutations of ``{1..n}``, one per (shape, floor) pair."""
+    for a in range(1, n + 1):
+        for prefix in combinations(range(1, n + 1), a):
+            tail = sorted(set(range(1, n + 1)) - set(prefix))
+            yield ValleyPermutation(prefix[::-1] + tuple(tail), a)
+
+
+def sum_of_first_variables(a, n):
+    """``x1 + ... + xa``: the degree-one class pulled back from the
+    ``a``-th Grassmannian."""
+    poly = IntPolynomial.zero(n)
+    for i in range(1, a + 1):
+        poly = poly + IntPolynomial.variable(i, n)
+    return poly
+
+
+def monk_shape(w, alpha, n):
+    """The shape matched to the permutation ``w`` of ``1..n`` in a chain of
+    single-box multiplications.
+
+    Column ``j`` of the shape (grid column ``j - min(alpha) + 1``) must
+    hold ``#{k <= j : w(k) > w(j+1)}`` cells for every
+    ``j in {min(alpha), ..., n-1}``; returns ``None`` when no shape in
+    the region does.
+    """
+    staircase = Staircase(tuple(alpha), n)
+    counts = [sum(1 for k in range(j) if w[k] > w[j]) for j in range(staircase.alpha[0], n)]
+    # cells of column c occupy the topmost rows among those whose span
+    # includes c; upward closure forces exactly rows 1..count
+    emb = [0] * staircase.num_rows
+    for c0, cnt in enumerate(counts):
+        for i in range(cnt):
+            if i >= staircase.num_rows or staircase.offsets[i] > c0:
+                return None
+            emb[i] = max(emb[i], c0 + 1)
+    trimmed = tuple(emb)
+    while trimmed and trimmed[-1] == 0:
+        trimmed = trimmed[:-1]
+    if not staircase.is_valid_embedded(trimmed):
+        return None
+    if staircase.column_counts(trimmed) != tuple(counts):
+        return None
+    return Shape(staircase.extract(trimmed), staircase)

@@ -16,10 +16,16 @@ from contextlib import redirect_stdout
 
 import pytest
 
-from conftest import all_contents, all_valid_problems, random_valid_problem
+from conftest import (
+    all_contents,
+    all_valid_problems,
+    all_valley_permutations,
+    random_valid_problem,
+    sum_of_first_variables,
+)
 
 from lrflags import cli
-from lrflags.permutations import all_valley_permutations, length
+from lrflags.permutations import length
 from lrflags.partitions import Shape, Staircase, partitions_in_box
 from lrflags.problems import SchubertProblem, refine_problem
 from lrflags.filtered import (
@@ -36,7 +42,6 @@ from lrflags.oracle import (
     oracle_intersection_number,
     schubert_expand,
     schubert_polynomial,
-    sum_of_first_variables,
 )
 from lrflags.tableaux import SkewShape, count_lr_tableaux, enumerate_lr_tableaux
 

@@ -5,21 +5,16 @@ from itertools import combinations, product
 
 import pytest
 
+from conftest import all_valley_permutations, longest, monk_shape
+
 from lrflags.partitions import Shape, Staircase, partitions_in_box
-from lrflags.permutations import (
-    all_valley_permutations,
-    identity,
-    longest,
-    valley_from_permutation,
-    valley_from_shape,
-)
+from lrflags.permutations import identity, valley_from_permutation, valley_from_shape
 from lrflags.problems import DimensionMismatchError, ProblemError, SchubertProblem
 from lrflags.filtered import (
     count_filtered_tableaux,
     count_monk_chains,
     enumerate_filtered_tableaux,
     intersection_number,
-    monk_shape,
     valley_coefficient,
 )
 from lrflags.oracle import iterate_monk, monk_multiply, oracle_coefficient

@@ -4,20 +4,18 @@ from collections import Counter
 
 import pytest
 
+from conftest import all_valley_permutations, longest, simple_transposition, sum_of_first_variables
+
 from lrflags import oracle
 from lrflags.partitions import partitions_in_box
 from lrflags.permutations import (
-    all_valley_permutations,
     descent_set,
     dual,
     grassmannian_permutation,
     identity,
     length,
-    longest,
     longest_with_descents_in,
-    reverse_prefix,
     shape_of_grassmannian,
-    simple_transposition,
     swap_positions,
     valley_from_permutation,
 )
@@ -37,13 +35,6 @@ from lrflags.oracle import (
     schubert_polynomial,
     staircase_coefficient,
 )
-
-
-def sum_of_first_variables(a, n):
-    poly = IntPolynomial.zero(n)
-    for i in range(1, a + 1):
-        poly = poly + IntPolynomial.variable(i, n)
-    return poly
 
 
 def test_schubert_polynomial_base_cases():
@@ -403,7 +394,7 @@ def test_restrict_shape_matches_prefix_reversal():
             b = valley.floor
             if b >= n:
                 continue
-            x = reverse_prefix(valley.word, b)
+            x = valley.word[:b][::-1] + valley.word[b:]
             if any(d > b for d in descent_set(x)):
                 continue
             assert shape_of_grassmannian(x, b) == restrict_shape(valley.mu, b, n)

@@ -7,8 +7,8 @@ from lrflags.partitions import (
     Staircase,
     conjugate,
     contains,
-    fits_in_rectangle,
     normalize_partition,
+    partition_in_rectangle,
     partitions_in_box,
 )
 
@@ -52,18 +52,15 @@ def test_contains_and_conjugate():
     assert conjugate(conjugate((5, 3, 3, 1))) == (5, 3, 3, 1)
 
 
-def test_fits_in_rectangle_examples():
-    assert fits_in_rectangle((2, 1), 3, 7)
-    assert fits_in_rectangle((4, 2, 1), 3, 7)
-    assert not fits_in_rectangle((5, 1), 3, 7)
-    assert fits_in_rectangle((), 1, 2)
-
-
-def test_fits_in_rectangle_rejects_bad_cut():
-    with pytest.raises(ValueError):
-        fits_in_rectangle((1,), 0, 5)
-    with pytest.raises(ValueError):
-        fits_in_rectangle((1,), 5, 5)
+def test_partition_in_rectangle_checks_containment_and_cut():
+    assert partition_in_rectangle((2, 1), 3, 7) == (2, 1)
+    assert partition_in_rectangle((4, 2, 1), 3, 7) == (4, 2, 1)
+    assert partition_in_rectangle((), 1, 2) == ()
+    with pytest.raises(ValueError, match=r"^rectangle containment violated: .* 3 x 4$"):
+        partition_in_rectangle((5, 1), 3, 7)
+    for b in (0, 5):
+        with pytest.raises(ValueError, match=rf"^cut position {b} out of range 1\.\.4$"):
+            partition_in_rectangle((1,), b, 5)
 
 
 def test_partitions_in_box_counts():

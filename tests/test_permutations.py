@@ -1,20 +1,18 @@
 import pytest
 
+from conftest import all_valley_permutations, longest
+
 from lrflags.partitions import partitions_in_box
 from lrflags.permutations import (
     ValleyPermutation,
-    all_valley_permutations,
     check_permutation,
     descent_set,
     dual,
     grassmannian_permutation,
     identity,
     length,
-    longest,
     longest_with_descents_in,
-    reverse_prefix,
     shape_of_grassmannian,
-    simple_transposition,
     swap_positions,
     valley_from_permutation,
     valley_from_shape,
@@ -76,9 +74,6 @@ def test_dual_is_involution_with_complementary_length():
 
 def test_swap_and_simple():
     assert swap_positions((1, 2, 3, 4), 2, 4) == (1, 4, 3, 2)
-    assert simple_transposition(4, 2) == (1, 3, 2, 4)
-    with pytest.raises(ValueError):
-        simple_transposition(4, 4)
 
 
 def test_longest_with_descents_in():
@@ -129,8 +124,3 @@ def test_valley_shape_floor_independent():
     # 4,2,1,3 is a valley with floor 2 and floor 3; same shape either way
     assert valley_from_permutation((4, 2, 1, 3), 2).mu == (3, 1)
     assert valley_from_permutation((4, 2, 1, 3), 3).mu == (3, 1)
-
-
-def test_reverse_prefix():
-    assert reverse_prefix((5, 3, 1, 2, 4, 6), 3) == (1, 3, 5, 2, 4, 6)
-    assert reverse_prefix((1, 2, 3), 1) == (1, 2, 3)

@@ -4,13 +4,16 @@ import random
 
 from conftest import (
     all_valid_problems,
+    all_valley_permutations,
+    longest,
+    monk_shape,
     nonempty_partitions_in_box,
     nonzero_sample,
     random_valid_problem,
 )
 
 from lrflags.partitions import Staircase
-from lrflags.permutations import all_valley_permutations, identity, length
+from lrflags.permutations import identity, length
 from lrflags.problems import SchubertProblem, dimension, refine_problem
 from lrflags.filtered import (
     _pad,
@@ -19,7 +22,6 @@ from lrflags.filtered import (
     count_monk_chains,
     enumerate_filtered_tableaux,
     intersection_number,
-    monk_shape,
     valley_coefficient,
 )
 from lrflags.oracle import (
@@ -185,7 +187,7 @@ def test_valley_matches_oracle_even_below_floor():
 def test_point_class_equals_valley_of_longest_after_full_refinement():
     # refining to the full flag manifold and asking for the longest
     # permutation's class reproduces the intersection number
-    from lrflags.permutations import longest, valley_from_permutation
+    from lrflags.permutations import valley_from_permutation
     from lrflags.problems import refine_to_full
 
     for n in (2, 3, 4):

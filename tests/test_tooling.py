@@ -4,6 +4,7 @@ import ast
 import importlib
 import importlib.util
 import io
+import re
 from contextlib import redirect_stdout
 from pathlib import Path
 
@@ -16,6 +17,17 @@ def _trace_patches():
     trace_layers = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(trace_layers)
     return trace_layers.PATCHES
+
+
+def _all_names(tree):
+    """The names a parsed module lists in its ``__all__``."""
+    return {
+        elt.value
+        for node in tree.body
+        if isinstance(node, ast.Assign)
+        and any(isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets)
+        for elt in node.value.elts
+    }
 
 
 def test_trace_patches_resolve():
@@ -114,16 +126,54 @@ def test_library_imports_only_what_it_uses():
             for alias in node.names
         }
         used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
-        exported = {
-            elt.value
-            for node in tree.body
-            if isinstance(node, ast.Assign)
-            and any(isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets)
-            for elt in node.value.elts
-        }
         module = f"lrflags.{path.stem}" if path.stem != "__init__" else "lrflags"
         unused += [
-            (module, name) for name in sorted(imported - used - exported)
+            (module, name) for name in sorted(imported - used - _all_names(tree))
             if (module, name) not in patched
         ]
     assert not unused, unused
+
+
+def test_library_exports_have_a_caller():
+    # a name in a module's __all__ must be used by library code outside its
+    # own definition, re-exported by the package or patched by the layer
+    # tracer; a helper only tests call lives in tests/conftest.py.  Each
+    # name the package exports is named in README's Library section.
+    trees = {
+        path.stem: ast.parse(path.read_text(encoding="utf-8"))
+        for path in sorted((ROOT / "src" / "lrflags").glob("*.py"))
+    }
+    reexported = _all_names(trees.pop("__init__"))
+    patched = {attr.split(".")[0] for _, attr, _ in _trace_patches()}
+    used = set()
+    for stem, tree in trees.items():
+        # "from .module import name" binds (module, name) to name, and
+        # "from . import module" makes module.name a use of (module, name)
+        imported, modules = {}, set()
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom) and node.level == 1:
+                for alias in node.names:
+                    if node.module:
+                        imported[alias.asname or alias.name] = (node.module, alias.name)
+                    else:
+                        modules.add(alias.asname or alias.name)
+        for node in tree.body:
+            own = getattr(node, "name", None)
+            for sub in ast.walk(node):
+                if isinstance(sub, ast.Name) and sub.id != own:
+                    used.add(imported.get(sub.id, (stem, sub.id)))
+                elif isinstance(sub, ast.Attribute) and getattr(sub.value, "id", None) in modules:
+                    used.add((sub.value.id, sub.attr))
+    unused = [
+        (stem, name)
+        for stem, tree in trees.items()
+        for name in sorted(_all_names(tree))
+        if (stem, name) not in used and name not in reexported | patched
+    ]
+    assert not unused, unused
+    readme = (ROOT / "README.md").read_text(encoding="utf-8")
+    library = readme.split("\n## Library\n")[1].split("\n## ")[0]
+    # named in backquotes in the prose, or used by the section's example
+    named = set(re.findall(r"`(\w+)`", library)) | set(re.findall(r"\w+", library.split("```")[1]))
+    unnamed = sorted(reexported - named)
+    assert not unnamed, unnamed
