@@ -147,9 +147,9 @@ def render_filtered_tableau(ft, index: int) -> list[str]:
     Each step prints its skew diagram with ``.`` for cells already filled
     (or left of the row's span) and the digit entries of the new cells.
     This is the reference for the ``enumerate`` output, which renders
-    through the same step blocks, but from the trimmed shape graph's row
-    tuples, each live edge's fillings once, with no tableau object, and
-    joins the blocks along each chain.
+    through the same step blocks, but from the row tuples the backward
+    fold lists, each live edge's fillings once, with no tableau object,
+    and joins the blocks along each chain.
     """
     lines = [f"tableau {index}"]
     for i, ((a, _), filling) in enumerate(zip(ft.terms, ft.fillings), 1):
@@ -203,28 +203,25 @@ def _cmd_enumerate(doc: ProblemDocument, args) -> int:
     """Stream every filtered tableau as :func:`render_filtered_tableau`
     renders it, then ``count <N>``.
 
-    Reads the trimmed shape graph of :func:`enumerate_filtered_tableaux`
-    from its builder and renders each live edge's fillings to step-block
+    Takes the walk of :func:`enumerate_filtered_tableaux`: as the
+    backward fold lists each live edge's fillings, they become step-block
     text once, straight from the skew's inner boundary and the fillings'
     row tuples, so no skew shape or tableau object is built.  Then it
-    walks the graph's chains in the same order, on one path array indexed
-    by level, and writes each combination of the path's blocks as one
-    tableau, joined at the leaf.
+    walks the kept edges' chains in the same order, on one path array
+    indexed by level, and writes each combination of the path's blocks as
+    one tableau, joined at the leaf.
     """
     problem = doc.problem()
     chosen = validate_problem(problem, _cut_set(doc, args.alpha))
-    levels = filtered._trimmed_graph(problem, Shape.full(Staircase(chosen, problem.n)))
+    terms = problem.terms
+
+    def wrap(k, outer, skew, rows):
+        return ["\n".join(_step_block(k + 1, terms[k][0], skew, filling)) for filling in rows]
+
+    levels = filtered._trimmed_graph(problem, Shape.full(Staircase(chosen, problem.n)), wrap)
     write = sys.stdout.write
     total = 0
     if levels is not None:
-        # each edge's fillings become their step blocks in place, so the
-        # fillings are freed as the text replaces them
-        for (i, (a, _)), level in zip(enumerate(problem.terms, 1), levels):
-            for edges in level.values():
-                edges[:] = [
-                    (outer, ["\n".join(_step_block(i, a, skew, rows)) for rows in found])
-                    for outer, skew, found in edges
-                ]
         # the tableau line, one block per step, the blank line.  One list
         # serves every tableau: a tuple of the path's length built per
         # tableau can pile up to 2,000 freed copies on the interpreter's

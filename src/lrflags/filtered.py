@@ -20,33 +20,33 @@ of the Schubert class of ``w``.
 Shapes travel through this module as embedded diagrams (see
 :mod:`lrflags.partitions`): ordinary partitions recording, per region
 row, the grid column of the last cell.  Counting and enumeration share
-one walk of the shape graph (``_shape_graph``) in two passes.  The
-forward pass steps from the empty shape and weighs nothing: it keeps
-every proposed step except those the dominance test of
-:mod:`lrflags.tableaux` proves to have no Littlewood-Richardson filling
-(McNamara and van Willigenburg, 2009).  It computes each such step's
-skew once, tests it as the stepper gives it, with no normalizing, and
-keeps it with the edge.  The backward pass starts at the target and
-weighs only live edges, those into a shape that reaches the target: at
-1 by Pieri's rule for a one-row or one-column content, whose steps the
-stepper's row and column caps leave as strips (the caps are the
-dominance test's first partial sums), and by the count or list of the
-fillings on the carried skew otherwise.  The stepper walks only the
-rows with room for a cell of the step: every other row keeps its inner
-end, a path ends as soon as its cells are placed, and no row takes an
-end that leaves the rows below it more cells than they have room for.
-Each row has a floor from the
-later steps' rectangles, by one rule: a row whose inner end lies left
-of its floor must gain cells, so it must be walked, and a path emits
-its shape only once past the last such row.  The shape graph builds one
-floor per next cut ``b`` and cuts it after its last row whose floor
-exceeds the row's offset, never before row ``b``.
-Counting folds the multiplicities of the live edges into a dynamic
-program from the target back to the empty shape; enumeration lists the
-fillings of the live edges only, once each, as row tuples cut from the
-backtracker's leaves with no tableau object built, drops an edge with
-none (``_trimmed_graph``), and walks the chains of what is left depth
-first on one path array indexed by level (``_chains``): in lexicographic
+one walk of the shape graph: one forward pass (``_shape_graph``) and
+one backward fold (``_fold_back``).  The forward pass steps from the
+empty shape and weighs nothing: it keeps every proposed step except
+those the dominance test of :mod:`lrflags.tableaux` proves to have no
+Littlewood-Richardson filling (McNamara and van Willigenburg, 2009).
+It computes each such step's skew once, tests it as the stepper gives
+it, with no normalizing, and keeps it with the edge.  The backward fold
+starts at the target and weighs only live edges, those into a shape
+that reaches the target: at 1 by Pieri's rule for a one-row or
+one-column content, whose steps the stepper's row and column caps leave
+as strips (the caps are the dominance test's first partial sums), and
+by the count or list of the fillings on the carried skew otherwise.
+The stepper walks only the rows with room for a cell of the step: every
+other row keeps its inner end, a path ends as soon as its cells are
+placed, and no row takes an end that leaves the rows below it more
+cells than they have room for.  Each row has a floor from the later
+steps' rectangles, by one rule: a row whose inner end lies left of its
+floor must gain cells, so it must be walked, and a path emits its shape
+only once past the last such row.  The shape graph builds one floor per
+next cut ``b`` and cuts it after its last row whose floor exceeds the
+row's offset, never before row ``b``.  The fold takes the edge's weight
+as an argument.  Counting weighs each live edge by its multiplicity;
+enumeration weighs it by the number of its fillings, listed once as row
+tuples cut from the backtracker's leaves with no tableau object built,
+keeps the edges with any, each with its fillings wrapped by the caller
+(``_trimmed_graph``), and walks the chains of what it kept depth first
+on one path array indexed by level (``_chains``): in lexicographic
 order on those diagrams, then the product of the steps' fillings, each
 in row-major lexicographic order.  The library's generator wraps each
 live edge's rows in tableaux once; the command line renders them to
@@ -350,49 +350,63 @@ def _target(problem: SchubertProblem, target: Shape | None) -> Shape:
     return target
 
 
-def _trimmed_graph(
-    problem: SchubertProblem, target: Shape
-) -> list[dict[tuple[int, ...], list[tuple[tuple[int, ...], tuple[int, ...], list]]]] | None:
-    """The shape graph trimmed back from ``target``, with each live edge's fillings.
+def _fold_back(problem: SchubertProblem, target: Shape, weigh) -> int:
+    """The shape graph folded back from ``target``, weighing only live edges.
 
     ``target`` must lie in a region the problem's steps can fill, as
-    :func:`_target` checks.  Returns ``None`` when its size differs from
-    the total content size, since no tableau exists.  Otherwise returns
-    one dict per term, mapping each inner shape to its live edges
-    ``(outer, skew, fillings)`` in ascending lexicographic order of
-    ``outer``: level by level from the target back, the fillings of each
-    edge into a shape that reaches the target are listed once, and an
-    edge with none is dropped.  ``skew`` is the step's inner boundary as
-    the forward pass carried it (a Pieri step computes its own) with its
-    trailing zero rows stripped, the inner partition :class:`SkewShape`
-    would hold.  ``fillings`` holds each filling's row tuples, as
-    ``_lr_rows`` lists them: nothing is normalized again and no tableau
-    is built.  Every tableau through an edge shares its list, and no
-    multiplicity is counted apart from it.
+    :func:`_target` checks; a size other than the total content size folds
+    to 0.  Otherwise ``ways[inner]`` is the sum of ``ways[outer] * weigh(k,
+    inner, outer, skew)`` over the edges of term ``k`` into shapes with
+    nonzero ``ways``, level by level from the target back, with ``skew``
+    the step's inner boundary as the forward pass carried it, ``None`` for
+    a Pieri step.  So ``weigh`` sees each live edge once, in ascending
+    order of ``outer`` per inner shape.  Returns ``ways[()]``.
     """
     if target.size != problem.total_size:
-        return None
-    staircase = target.staircase
-    steps = list(_shape_graph(problem.terms, staircase, target.embedded))
-    live = {target.embedded}
+        return 0
+    steps = list(_shape_graph(problem.terms, target.staircase, target.embedded))
+    ways: dict[tuple[int, ...], int] = {target.embedded: 1}
     for k in range(len(steps) - 1, -1, -1):
-        lam = problem.terms[k][1]
-        trimmed = {}
+        back: dict[tuple[int, ...], int] = {}
         for inner, succ in steps[k].items():
-            kept = trimmed[inner] = []
+            total = 0
             for outer, skew in succ:
-                if outer not in live:
-                    continue
-                if skew is None:  # a Pieri step: the graph carries no skew for it
-                    skew = _step_inner(outer, inner, staircase)
-                # a partition's zero rows are its last ones
-                skew = skew[: len(skew) - skew.count(0)]
-                found = _lr_rows(outer, skew, lam)
-                if found:
-                    kept.append((outer, skew, found))
-        steps[k] = trimmed
-        live = {inner for inner, kept in trimmed.items() if kept}
-    return steps
+                if outer in ways:
+                    total += ways[outer] * weigh(k, inner, outer, skew)
+            if total:
+                back[inner] = total
+        ways = back
+    return ways.get((), 0)
+
+
+def _trimmed_graph(
+    problem: SchubertProblem, target: Shape, wrap
+) -> list[dict[tuple[int, ...], list[tuple[tuple[int, ...], object]]]] | None:
+    """The live edges of the shape graph, each with its fillings wrapped once.
+
+    Folds the graph back from ``target`` (:func:`_fold_back`), weighing
+    each live edge by the number of its fillings, listed once as row
+    tuples by ``_lr_rows`` on the skew the forward pass carried (a Pieri
+    step computes its own); nothing is normalized again and no tableau is
+    built.  Returns ``None`` when the fold is 0, since no tableau exists.
+    Otherwise returns one dict per term ``k``, mapping each inner shape
+    with an edge that has fillings to those edges ``(outer, wrap(k,
+    outer, skew, rows))`` in ascending lexicographic order of ``outer``;
+    an edge with no filling is dropped.  Every tableau through an edge
+    shares what ``wrap`` made of its fillings.
+    """
+    staircase, terms = target.staircase, problem.terms
+    levels: list[dict] = [{} for _ in terms]
+
+    def weigh(k, inner, outer, skew):
+        if skew is None:  # a Pieri step: the graph carries no skew for it
+            skew = _step_inner(outer, inner, staircase)
+        rows = _lr_rows(outer, skew, terms[k][1])
+        if rows:
+            levels[k].setdefault(inner, []).append((outer, wrap(k, outer, skew, rows)))
+        return len(rows)
+
+    return levels if _fold_back(problem, target, weigh) else None
 
 
 def _chains(
@@ -401,8 +415,8 @@ def _chains(
     """Every chain from the empty shape through ``levels``, in lexicographic order.
 
     ``levels`` maps, per level, an inner shape to its edges ``(outer,
-    payload)`` in ascending order of ``outer``, as the callers make them
-    from :func:`_trimmed_graph`'s edges.  Yields one list per chain,
+    payload)`` in ascending order of ``outer``, as :func:`_trimmed_graph`
+    keeps them from the backward fold.  Yields one list per chain,
     indexed by level, holding the edge taken at each level.  The walk is
     depth first and overwrites that one list in place, so a chain costs
     one assignment per level it changes, and a yielded list is valid only
@@ -441,25 +455,23 @@ def enumerate_filtered_tableaux(
     Output order: lexicographic on the chain of embedded diagrams, then
     lexicographic per-step fillings.
 
-    Walks the shape graph of :func:`count_filtered_tableaux` forward,
-    then trims it back from the target and lists each live edge's
-    fillings once, as row tuples (:func:`_trimmed_graph`), which become
-    tableaux on one skew shape per live edge.  The chains of the trimmed
-    graph are walked depth first on one path array indexed by level
-    (:func:`_chains`), so memory is bounded by the graph, not the output,
-    and a chain costs time linear in its length.  Each chain yields the
-    product of its steps' filling lists.
+    Takes the walk of :func:`count_filtered_tableaux`, but the backward
+    fold lists each live edge's fillings once, as row tuples that become
+    tableaux on one skew shape per edge (:func:`_trimmed_graph`).  The
+    chains of the kept edges are walked depth first on one path array
+    indexed by level (:func:`_chains`), so memory is bounded by the graph,
+    not the output, and a chain costs time linear in its length.  Each
+    chain yields the product of its steps' filling lists.
     """
     target = _target(problem, target)
-    levels = _trimmed_graph(problem, target)
+
+    def wrap(k, outer, skew, rows):
+        shape = SkewShape(outer, skew)
+        return [SkewTableau(shape, filling) for filling in rows]
+
+    levels = _trimmed_graph(problem, target, wrap)
     if levels is None:
         return
-    # each live edge's row tuples become tableaux on one shape, in place
-    for level in levels:
-        for edges in level.values():
-            for j, (outer, skew, found) in enumerate(edges):
-                shape = SkewShape(outer, skew)
-                edges[j] = outer, [SkewTableau(shape, rows) for rows in found]
     staircase, terms = target.staircase, problem.terms
     for path in _chains(levels):
         chain = ((), *[outer for outer, _ in path])
@@ -470,32 +482,19 @@ def enumerate_filtered_tableaux(
 def count_filtered_tableaux(problem: SchubertProblem, target: Shape | None = None) -> int:
     """Number of filtered tableaux, by dynamic programming over shapes.
 
-    Walks the same shape graph as :func:`enumerate_filtered_tableaux`
-    forward, takes the same targets, and folds the graph backward from
-    the target: ``ways[inner]`` is the sum of ``mult * ways[outer]`` over
-    the successors with nonzero ``ways``.  Only those edges are weighed,
-    at 1 for a one-row or one-column content and otherwise by
-    :func:`count_lr_tableaux` on the skew the forward pass carried, so no
-    multiplicity is counted on an edge that leads nowhere.
+    Takes the walk of :func:`enumerate_filtered_tableaux`, with the same
+    targets: the shape graph forward, then the fold back from the target
+    (:func:`_fold_back`), which weighs each live edge at 1 for a one-row
+    or one-column content and otherwise by :func:`count_lr_tableaux` on
+    the skew the forward pass carried, so no multiplicity is counted on
+    an edge that leads nowhere.
     """
-    target = _target(problem, target)
-    if target.size != problem.total_size:
-        return 0
-    staircase = target.staircase
-    steps = list(_shape_graph(problem.terms, staircase, target.embedded))
-    ways: dict[tuple[int, ...], int] = {target.embedded: 1}
-    for (_, lam), edges in zip(reversed(problem.terms), reversed(steps)):
-        back: dict[tuple[int, ...], int] = {}
-        for inner, succ in edges.items():
-            total = 0
-            for outer, skew in succ:
-                if outer in ways:
-                    mult = 1 if skew is None else count_lr_tableaux(outer, skew, lam)
-                    total += ways[outer] * mult
-            if total:
-                back[inner] = total
-        ways = back
-    return ways.get((), 0)
+    terms = problem.terms
+
+    def weigh(k, inner, outer, skew):
+        return 1 if skew is None else count_lr_tableaux(outer, skew, terms[k][1])
+
+    return _fold_back(problem, _target(problem, target), weigh)
 
 
 def intersection_number(

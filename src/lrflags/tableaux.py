@@ -188,8 +188,9 @@ def _lr_fillings(
 ) -> Iterator[list[int]]:
     """Every Littlewood-Richardson filling of ``outer/inner`` with content ``lam``.
 
-    The three partitions must be normalized, with ``inner`` inside
-    ``outer`` and ``|outer| - |inner| == |lam|``.  At each filling it
+    ``outer`` and ``lam`` must be normalized and ``inner`` inside ``outer``,
+    with ``|outer| - |inner| == |lam|``; ``inner`` may end in zero rows,
+    read as the rows past its end are.  At each filling it
     yields the same list of entries in row-major order (one slot past the
     last cell, always 0); the next step overwrites it.  Fillings come in
     row-major lexicographic order.
@@ -248,10 +249,9 @@ def _lr_rows(
 ) -> list[tuple[tuple[int, ...], ...]]:
     """Each leaf of :func:`_lr_fillings`, cut into one tuple per row of ``outer``.
 
-    The arguments are as :func:`_lr_fillings` takes them, except that
-    ``inner`` may end in zero rows.  A row with no skew cell gives ``()``,
-    so a filling has ``len(outer)`` rows, as a :class:`SkewTableau` on
-    ``outer/inner`` holds them; no tableau is built.
+    The arguments are as :func:`_lr_fillings` takes them.  A row with no
+    skew cell gives ``()``, so a filling has ``len(outer)`` rows, as a
+    :class:`SkewTableau` on ``outer/inner`` holds them; no tableau is built.
     """
     widths = map(sub, outer, inner + (0,) * (len(outer) - len(inner)))
     ends = list(accumulate(widths, initial=0))

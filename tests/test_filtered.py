@@ -78,16 +78,18 @@ def test_enumerate_lists_only_live_edges(
     # shape with a path of nonzero edges to the target.  An edge whose zero
     # the dominance test misses is learned by listing it, and a shape
     # reached only through such edges can still complete to the target, so
-    # listings may exceed the edges tableaux pass through
+    # listings may exceed the edges tableaux pass through.  count weighs
+    # the same live edges in the same backward fold: each non-Pieri edge
+    # enumerate lists, once, on the same carried skew
     import lrflags.filtered as filtered
 
-    calls, listed = Counter(), Counter()
+    calls, listed, weighed = Counter(), Counter(), Counter()
     original_count, original_list = filtered.count_lr_tableaux, filtered._lr_rows
     original_step_shapes = filtered._step_shapes
 
-    def counting(*args):
-        calls["count_lr_tableaux"] += 1
-        return original_count(*args)
+    def counting(outer, inner, lam):
+        weighed[outer, inner, tuple(lam)] += 1
+        return original_count(outer, inner, lam)
 
     def listing(outer, inner, lam):
         listed[outer, inner, tuple(lam)] += 1
@@ -108,15 +110,19 @@ def test_enumerate_lists_only_live_edges(
     for problem in (six_box_problem, seven_term_problem, thirteen_box_problem, five_factor_problem, gr37):
         calls.clear()
         listed.clear()
+        weighed.clear()
         tableaux = list(enumerate_filtered_tableaux(problem))
         live = {(k, ft.chain[k], ft.chain[k + 1]) for ft in tableaux for k in range(len(problem.terms))}
-        assert calls["count_lr_tableaux"] == 0
+        assert not weighed
         assert max(listed.values()) == 1, listed.most_common(3)
         assert calls["proposed"] >= sum(listed.values()) >= len(live)
         totals.append((calls["proposed"], sum(listed.values()), len(live)))
         target = Shape.full(problem.staircase).embedded
         completing = _completing(_weighed(problem.terms, problem.staircase, target), target)
         assert {outer for outer, _, _ in listed} <= completing
+        assert count_filtered_tableaux(problem) == len(tableaux)
+        assert set(weighed) == {key for key in listed if not filtered._pieri(key[2])}
+        assert all(times == 1 for times in weighed.values()), weighed.most_common(3)
     # (proposals, listings, edges tableaux pass through): the 18 problem
     # lists 2 edges no tableau passes through, one into (5, 2, 2) whose
     # (2, 2) step has no filling, and the one out of that shape; Gr(3, 7)

@@ -98,9 +98,9 @@ def test_cli_enumerates_in_the_wider_region(monkeypatch, tmp_path):
     targets = []
     original = filtered._trimmed_graph
 
-    def recording(problem, target):
+    def recording(problem, target, *rest):
         targets.append(target)
-        return original(problem, target)
+        return original(problem, target, *rest)
 
     monkeypatch.setattr(filtered, "_trimmed_graph", recording)
     path = tmp_path / "quad.txt"
