@@ -203,13 +203,13 @@ def _cmd_enumerate(doc: ProblemDocument, args) -> int:
     """Stream every filtered tableau as :func:`render_filtered_tableau`
     renders it, then ``count <N>``.
 
-    Takes the walk of :func:`enumerate_filtered_tableaux`: as the
-    backward fold lists each live edge's fillings, they become step-block
-    text once, straight from the skew's inner boundary and the fillings'
-    row tuples, so no skew shape or tableau object is built.  Then it
-    walks the kept edges' chains in the same order, on one path array
-    indexed by level, and writes each combination of the path's blocks as
-    one tableau, joined at the leaf.
+    One loop over the chains :func:`enumerate_filtered_tableaux` walks,
+    from the same generator (``filtered._live_chains``), in the same
+    order.  As the backward fold lists each live edge's fillings, they
+    become step-block text once, straight from the skew's inner boundary
+    and the fillings' row tuples, so no skew shape or tableau object is
+    built.  Each chain writes each combination of its blocks as one
+    tableau, joined at the leaf.
     """
     problem = doc.problem()
     chosen = validate_problem(problem, _cut_set(doc, args.alpha))
@@ -218,20 +218,18 @@ def _cmd_enumerate(doc: ProblemDocument, args) -> int:
     def wrap(k, outer, skew, rows):
         return ["\n".join(_step_block(k + 1, terms[k][0], skew, filling)) for filling in rows]
 
-    levels = filtered._trimmed_graph(problem, Shape.full(Staircase(chosen, problem.n)), wrap)
     write = sys.stdout.write
     total = 0
-    if levels is not None:
-        # the tableau line, one block per step, the blank line.  One list
-        # serves every tableau: a tuple of the path's length built per
-        # tableau can pile up to 2,000 freed copies on the interpreter's
-        # free list, which shows as memory that grows with the output
-        lines = [""] * (len(levels) + 1) + ["\n"]
-        for path in filtered._chains(levels):
-            for lines[1:-1] in iter_product(*[blocks for _, blocks in path]):
-                total += 1
-                lines[0] = f"tableau {total}"
-                write("\n".join(lines))
+    # the tableau line, one block per step, the blank line.  One list
+    # serves every tableau: a tuple of the path's length built per
+    # tableau can pile up to 2,000 freed copies on the interpreter's free
+    # list, which shows as memory that grows with the output
+    lines = [""] * (len(terms) + 1) + ["\n"]
+    for path in filtered._live_chains(problem, Shape.full(Staircase(chosen, problem.n)), wrap):
+        for lines[1:-1] in iter_product(*[blocks for _, blocks in path]):
+            total += 1
+            lines[0] = f"tableau {total}"
+            write("\n".join(lines))
     write(f"count {total}\n")
     return 0
 

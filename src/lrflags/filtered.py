@@ -44,13 +44,14 @@ row's offset, never before row ``b``.  The fold takes the edge's weight
 as an argument.  Counting weighs each live edge by its multiplicity;
 enumeration weighs it by the number of its fillings, listed once as row
 tuples cut from the backtracker's leaves with no tableau object built,
-keeps the edges with any, each with its fillings wrapped by the caller
-(``_trimmed_graph``), and walks the chains of what it kept depth first
-on one path array indexed by level (``_chains``): in lexicographic
-order on those diagrams, then the product of the steps' fillings, each
-in row-major lexicographic order.  The library's generator wraps each
-live edge's rows in tableaux once; the command line renders them to
-text once, building no skew shape or tableau, and walks the same graph.
+keeps the edges with any, each with its fillings wrapped by the caller,
+and walks the chains of what it kept depth first on one path array
+indexed by level, all in one generator (``_live_chains``): in
+lexicographic order on those diagrams, then the product of the steps'
+fillings, each in row-major lexicographic order.  The library's
+generator wraps each live edge's rows in tableaux once; the command
+line renders them to text once, building no skew shape or tableau, and
+iterates the same generator.
 """
 
 from __future__ import annotations
@@ -379,21 +380,25 @@ def _fold_back(problem: SchubertProblem, target: Shape, weigh) -> int:
     return ways.get((), 0)
 
 
-def _trimmed_graph(
-    problem: SchubertProblem, target: Shape, wrap
-) -> list[dict[tuple[int, ...], list[tuple[tuple[int, ...], object]]]] | None:
-    """The live edges of the shape graph, each with its fillings wrapped once.
+def _live_chains(problem: SchubertProblem, target: Shape, wrap) -> Iterator[list]:
+    """Every chain of live edges from the empty shape to ``target``, in
+    lexicographic order, each edge's fillings wrapped once.
 
     Folds the graph back from ``target`` (:func:`_fold_back`), weighing
     each live edge by the number of its fillings, listed once as row
     tuples by ``_lr_rows`` on the skew the forward pass carried (a Pieri
     step computes its own); nothing is normalized again and no tableau is
-    built.  Returns ``None`` when the fold is 0, since no tableau exists.
-    Otherwise returns one dict per term ``k``, mapping each inner shape
-    with an edge that has fillings to those edges ``(outer, wrap(k,
-    outer, skew, rows))`` in ascending lexicographic order of ``outer``;
-    an edge with no filling is dropped.  Every tableau through an edge
-    shares what ``wrap`` made of its fillings.
+    built.  Keeps each edge of term ``k`` with fillings as ``(outer,
+    wrap(k, outer, skew, rows))``, in ascending order of ``outer`` per
+    inner shape, so every tableau through an edge shares what ``wrap``
+    made of its fillings; an edge with no filling is dropped.  Yields
+    nothing when the fold is 0, since no tableau exists.
+
+    Otherwise walks the kept edges depth first and yields one list per
+    chain, indexed by level, holding the edge taken at each level.  The
+    walk overwrites that one list in place, so a chain costs one
+    assignment per level it changes, and a yielded list is valid only
+    until the next one.
     """
     staircase, terms = target.staircase, problem.terms
     levels: list[dict] = [{} for _ in terms]
@@ -406,22 +411,8 @@ def _trimmed_graph(
             levels[k].setdefault(inner, []).append((outer, wrap(k, outer, skew, rows)))
         return len(rows)
 
-    return levels if _fold_back(problem, target, weigh) else None
-
-
-def _chains(
-    levels: Sequence[dict[tuple[int, ...], list[tuple[tuple[int, ...], object]]]]
-) -> Iterator[list]:
-    """Every chain from the empty shape through ``levels``, in lexicographic order.
-
-    ``levels`` maps, per level, an inner shape to its edges ``(outer,
-    payload)`` in ascending order of ``outer``, as :func:`_trimmed_graph`
-    keeps them from the backward fold.  Yields one list per chain,
-    indexed by level, holding the edge taken at each level.  The walk is
-    depth first and overwrites that one list in place, so a chain costs
-    one assignment per level it changes, and a yielded list is valid only
-    until the next one.
-    """
+    if not _fold_back(problem, target, weigh):
+        return
     depth = len(levels)
     path: list = [None] * depth
     if not depth:
@@ -457,11 +448,11 @@ def enumerate_filtered_tableaux(
 
     Takes the walk of :func:`count_filtered_tableaux`, but the backward
     fold lists each live edge's fillings once, as row tuples that become
-    tableaux on one skew shape per edge (:func:`_trimmed_graph`).  The
-    chains of the kept edges are walked depth first on one path array
-    indexed by level (:func:`_chains`), so memory is bounded by the graph,
-    not the output, and a chain costs time linear in its length.  Each
-    chain yields the product of its steps' filling lists.
+    tableaux on one skew shape per edge, and the chains of the kept edges
+    are walked depth first on one path array indexed by level, both in
+    :func:`_live_chains`.  So memory is bounded by the graph, not the
+    output, and a chain costs time linear in its length.  Each chain
+    yields the product of its steps' filling lists.
     """
     target = _target(problem, target)
 
@@ -469,11 +460,8 @@ def enumerate_filtered_tableaux(
         shape = SkewShape(outer, skew)
         return [SkewTableau(shape, filling) for filling in rows]
 
-    levels = _trimmed_graph(problem, target, wrap)
-    if levels is None:
-        return
     staircase, terms = target.staircase, problem.terms
-    for path in _chains(levels):
+    for path in _live_chains(problem, target, wrap):
         chain = ((), *[outer for outer, _ in path])
         for combo in iter_product(*[found for _, found in path]):
             yield FilteredTableau(staircase, terms, chain, combo)

@@ -66,6 +66,7 @@ and ``coefficient_identity_check`` keep their full products.
 
 from __future__ import annotations
 
+import functools
 import itertools
 from bisect import bisect_left, insort
 from typing import Iterable, Sequence
@@ -114,9 +115,6 @@ __all__ = [
     "coefficient_identity_check",
 ]
 
-_SCHUBERT_CACHE_CAP = 1 << 16  # schubert_polynomial clears its cache at this size
-_schubert_cache: dict[tuple[int, ...], IntPolynomial] = {}
-
 
 def _lehmer_code(w: Sequence[int]) -> list[int]:
     """The Lehmer code of ``w``: entry ``i`` counts the ``j > i`` with
@@ -145,21 +143,18 @@ def schubert_polynomial(w: Sequence[int]) -> IntPolynomial:
     the swaps.  Exponent tuples have length ``n`` but the last variable
     never occurs.
 
+    Every word is checked before the cache is read.  The cache keeps up
+    to 65,536 checked words, drops the least recently used, and holds
+    only the words callers ask for, none met on the climb.
+
     >>> schubert_polynomial((2, 1, 3)).terms()
     {(1, 0, 0): 1}
     """
-    try:
-        poly = _schubert_cache[w]
-    except (KeyError, TypeError):  # a miss, or an unhashable word
-        pass
-    else:
-        # only checked permutations are stored, but (1.0, 2.0) == (1, 2) hits
-        # too: a hit answers only for integer entries, which the check accepts
-        if all(isinstance(v, int) for v in w):
-            return poly
-    w = check_permutation(w)
-    if len(_schubert_cache) >= _SCHUBERT_CACHE_CAP:
-        _schubert_cache.clear()
+    return _schubert(check_permutation(w))
+
+
+@functools.lru_cache(maxsize=1 << 16)
+def _schubert(w: tuple[int, ...]) -> IntPolynomial:
     # climb first code ascents up to a dominant permutation, then divide back down
     code = _lehmer_code(w)
     steps = range(len(w) - 1)
@@ -170,7 +165,6 @@ def schubert_polynomial(w: Sequence[int]) -> IntPolynomial:
     poly = IntPolynomial.monomial(code)
     for ascent in reversed(climbed):
         poly = poly.divided_difference(ascent)
-    _schubert_cache[w] = poly
     return poly
 
 

@@ -62,10 +62,7 @@ def cut_position(a: object, n: object, error: type[ValueError] = ValueError) -> 
     ...
     ValueError: cut position 5 out of range 1..4
     """
-    try:
-        a, n = index(a), index(n)
-    except TypeError:  # coerce again, only to name the bad value
-        a, n = as_int(a, error), as_int(n, error)
+    a, n = as_int(a, error), as_int(n, error)
     if not 1 <= a <= n - 1:
         raise error(f"cut position {a} out of range 1..{n - 1}")
     return a
@@ -228,7 +225,10 @@ class Staircase:
     def embed(self, rows: tuple[int, ...]) -> tuple[int, ...]:
         """Embedded diagram of a shape given by its row lengths."""
         if len(rows) > self.num_rows:
-            raise ValueError(f"{len(rows)} rows exceed the region's {self.num_rows}")
+            raise ValueError(
+                f"rows {rows} exceed the {self.num_rows} rows of the "
+                f"staircase for alpha={self.alpha}, n={self.n}"
+            )
         emb = []
         for i, r in enumerate(rows):
             emb.append(self.offsets[i] + r if r > 0 else 0)
@@ -254,7 +254,7 @@ class Staircase:
             if e == 0:
                 prev = 0
                 continue
-            if prev < e or e <= self.offsets[i] or e > self.width:
+            if prev < e or e <= self.offsets[i]:
                 return False
             prev = e
         return True
@@ -278,11 +278,6 @@ class Shape:
     def __post_init__(self) -> None:
         rows = normalize_partition(self.rows)
         object.__setattr__(self, "rows", rows)
-        if len(rows) > self.staircase.num_rows:
-            raise ValueError(
-                f"rows {rows} exceed the {self.staircase.num_rows} rows of the "
-                f"staircase for alpha={self.staircase.alpha}, n={self.staircase.n}"
-            )
         emb = self.staircase.embed(rows)
         if not self.staircase.is_valid_embedded(emb):
             raise ValueError(

@@ -422,8 +422,8 @@ def test_enumerate_stream_matches_reference_renderer(tmp_path):
 
 
 def test_enumerate_builds_no_skew_objects(monkeypatch, tmp_path):
-    # the CLI renders each live edge's fillings from the trimmed graph's row
-    # tuples: it constructs no SkewShape and no SkewTableau
+    # the CLI renders each live edge's fillings from the row tuples the
+    # backward fold lists: it constructs no SkewShape and no SkewTableau
     built = Counter()
     for cls in (SkewShape, SkewTableau):
 

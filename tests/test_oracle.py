@@ -1,3 +1,4 @@
+import functools
 import itertools
 import random
 from collections import Counter
@@ -44,17 +45,17 @@ def test_schubert_polynomial_base_cases():
     assert schubert_polynomial(identity(n)) == IntPolynomial.one(n)
     for a in range(1, n):
         assert schubert_polynomial(simple_transposition(n, a)) == sum_of_first_variables(a, n)
-    # the cache is read before the check; a miss, a list included, is still checked
+    # every word is checked before the cache is read, a list included
     assert schubert_polynomial(list(longest(n))) == schubert_polynomial(longest(n))
     for word in ((1, 1), [2, 2], (1, 3)):
         with pytest.raises(ValueError):
             schubert_polynomial(word)
 
 
-def test_schubert_cache_hit_checks_the_word_like_a_miss(monkeypatch):
+def test_schubert_cache_hit_checks_the_word_like_a_miss():
     # (1.0, 2.0) == (1, 2) and the two hash alike, so a cached (1, 2)
     # must not answer for the float word the check rejects
-    monkeypatch.setattr(oracle, "_schubert_cache", {})
+    oracle._schubert.cache_clear()
     with pytest.raises(ValueError, match=r"^1\.0 is not an integer$"):
         schubert_polynomial((1.0, 2.0))
     assert schubert_polynomial((1, 2)) == IntPolynomial.one(2)
@@ -77,7 +78,7 @@ def test_climb_stops_at_the_nearest_dominant_permutation(monkeypatch):
     divide = IntPolynomial.divided_difference
     monkeypatch.setattr(IntPolynomial, "divided_difference", lambda p, i: calls.append(i) or divide(p, i))
     for w in [identity(46), longest(46), *itertools.permutations(range(1, 6))]:
-        monkeypatch.setattr(oracle, "_schubert_cache", {})
+        oracle._schubert.cache_clear()
         calls.clear()
         poly = schubert_polynomial(w)
         code = [sum(v < u for v in w[i + 1:]) for i, u in enumerate(w)]
@@ -129,21 +130,20 @@ def test_schubert_independent_of_reduction_path():
 
 
 def test_schubert_cache_stays_bounded(monkeypatch):
-    cap, n = 5, 4
-    monkeypatch.setattr(oracle, "_SCHUBERT_CACHE_CAP", cap)
-    monkeypatch.setattr(oracle, "_schubert_cache", {})
+    n = 4
+    assert oracle._schubert.cache_info().maxsize == 1 << 16
+    # the cache holds the permutations callers asked for, none met on the climb
+    oracle._schubert.cache_clear()
+    for asked, w in enumerate(itertools.permutations(range(1, n + 1)), 1):
+        schubert_polynomial(w)
+        assert oracle._schubert.cache_info().currsize == asked, w
+    assert asked == 24
+    # a full cache evicts, and what it keeps still answers right
+    cap = 5
+    monkeypatch.setattr(oracle, "_schubert", functools.lru_cache(maxsize=cap)(oracle._schubert.__wrapped__))
     for w in itertools.permutations(range(1, n + 1)):
         assert schubert_polynomial(w) == via_last_ascent(w), w
-        assert 0 < len(oracle._schubert_cache) <= cap
-    # the cache holds the permutations callers asked for, none met on the climb
-    monkeypatch.setattr(oracle, "_SCHUBERT_CACHE_CAP", 1 << 16)
-    monkeypatch.setattr(oracle, "_schubert_cache", {})
-    asked = []
-    for w in itertools.permutations(range(1, n + 1)):
-        schubert_polynomial(w)
-        asked.append(w)
-        assert sorted(oracle._schubert_cache) == asked, w
-    assert len(asked) == 24
+        assert 0 < oracle._schubert.cache_info().currsize <= cap
 
 
 def test_grassmannian_schubert_is_schur_like():

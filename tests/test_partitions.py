@@ -144,7 +144,7 @@ def test_shape_rejects_overflow():
     s = Staircase((2,), 4)
     with pytest.raises(ValueError):
         Shape((3,), s)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=r"^rows \(2, 2, 1\) exceed the 2 rows of the staircase for alpha=\(2,\), n=4$"):
         Shape((2, 2, 1), s)
 
 

@@ -68,19 +68,19 @@ def test_rule_looks_up_lr_layer_at_call_time(monkeypatch, seven_term_problem):
 
 
 def test_cli_looks_up_enumeration_at_call_time(monkeypatch, tmp_path):
-    # enumerate reads the trimmed shape graph from its builder, looked up on
+    # enumerate iterates the live chains from their generator, looked up on
     # lrflags.filtered when called, so a patch there sees the one call
     import lrflags.cli as cli
     import lrflags.filtered as filtered
 
     calls = []
-    original = filtered._trimmed_graph
+    original = filtered._live_chains
 
     def counting(*args):
         calls.append(args)
         return original(*args)
 
-    monkeypatch.setattr(filtered, "_trimmed_graph", counting)
+    monkeypatch.setattr(filtered, "_live_chains", counting)
     path = tmp_path / "six_box.txt"
     path.write_text("n = 4\n1: 1\n1: 1\n2: 1\n2: 1\n3: 1\n3: 1\n")
     with redirect_stdout(io.StringIO()) as out:
@@ -96,13 +96,13 @@ def test_cli_enumerates_in_the_wider_region(monkeypatch, tmp_path):
     import lrflags.filtered as filtered
 
     targets = []
-    original = filtered._trimmed_graph
+    original = filtered._live_chains
 
     def recording(problem, target, *rest):
         targets.append(target)
         return original(problem, target, *rest)
 
-    monkeypatch.setattr(filtered, "_trimmed_graph", recording)
+    monkeypatch.setattr(filtered, "_live_chains", recording)
     path = tmp_path / "quad.txt"
     path.write_text("n = 4\n2: 1\n2: 1\n2: 1\n2: 1\n")
     with redirect_stdout(io.StringIO()) as out:
@@ -177,3 +177,45 @@ def test_library_exports_have_a_caller():
     named = set(re.findall(r"`(\w+)`", library)) | set(re.findall(r"\w+", library.split("```")[1]))
     unnamed = sorted(reexported - named)
     assert not unnamed, unnamed
+
+
+def _sibling_imports(stem):
+    """What library module ``stem`` imports from the package: module stem
+    to the names it takes, ``"*"`` for the module itself; the package's
+    own ``__init__`` is the stem ``"__init__"``."""
+    tree = ast.parse((ROOT / "src" / "lrflags" / f"{stem}.py").read_text(encoding="utf-8"))
+    stems = {path.stem for path in (ROOT / "src" / "lrflags").glob("*.py")}
+    taken = {}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            pairs = [
+                (alias.name.partition(".")[2] or "__init__", "*")
+                for alias in node.names
+                if alias.name.split(".")[0] == "lrflags"
+            ]
+        elif isinstance(node, ast.ImportFrom) and (node.level or (node.module or "").split(".")[0] == "lrflags"):
+            module = (node.module or "").removeprefix("lrflags").lstrip(".")
+            if module:
+                pairs = [(module, alias.name) for alias in node.names]
+            else:  # "from . import name": a module, or a name the package exports
+                pairs = [(alias.name, "*") if alias.name in stems else ("__init__", alias.name) for alias in node.names]
+        else:
+            continue
+        for module, name in pairs:
+            taken.setdefault(module, set()).add(name)
+    return taken
+
+
+def test_oracle_shares_no_code_with_the_rule():
+    # the oracle checks the rule only while the two compute apart: both use
+    # the input gates of partitions, permutations and problems, but the
+    # oracle and its polynomials take nothing from the rule, the command
+    # line or the package, and from the LR core the oracle takes only the
+    # count on the right-hand side of coefficient_identity_check
+    for stem in ("oracle", "polynomials"):
+        taken = _sibling_imports(stem)
+        assert not taken.keys() & {"filtered", "cli", "__init__"}, (stem, taken)
+    assert _sibling_imports("oracle").get("tableaux", set()) <= {"count_lr_tableaux"}
+    for stem in ("filtered", "tableaux"):
+        taken = _sibling_imports(stem)
+        assert not taken.keys() & {"oracle", "polynomials", "__init__"}, (stem, taken)
