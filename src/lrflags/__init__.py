@@ -8,81 +8,23 @@ class off by divided differences.  The command-line front end compares
 them on demand.
 """
 
-from .partitions import (
-    Shape,
-    Staircase,
-    conjugate,
-    contains,
-    normalize_partition,
-    partitions_in_box,
-)
-from .tableaux import (
-    SkewShape,
-    SkewTableau,
-    count_lr_tableaux,
-    dominance_zero,
-    enumerate_lr_tableaux,
-    is_ballot,
-    is_lr_tableau,
-)
-from .permutations import (
-    ValleyPermutation,
-    descent_set,
-    grassmannian_permutation,
-    longest_with_descents_in,
-    shape_of_grassmannian,
-    valley_from_permutation,
-    valley_from_shape,
-)
-from .problems import (
-    DimensionMismatchError,
-    ProblemError,
-    SchubertProblem,
-    dimension,
-    refine_problem,
-    refine_to_full,
-    validate_problem,
-)
-from .filtered import (
-    FilteredTableau,
-    count_filtered_tableaux,
-    count_monk_chains,
-    enumerate_filtered_tableaux,
-    intersection_number,
-    valley_coefficient,
-)
-from .polynomials import IntPolynomial
-from .oracle import (
-    a_bruhat_leq,
-    coefficient_identity_check,
-    descent_support_check,
-    iterate_monk,
-    monk_multiply,
-    oracle_coefficient,
-    oracle_intersection_number,
-    restrict_shape,
-    schubert_expand,
-    schubert_polynomial,
-    staircase_coefficient,
-)
+from .partitions import *
+from .tableaux import *
+from .permutations import *
+from .problems import *
+from .filtered import *
+from .polynomials import *
+from .oracle import *
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "Shape", "Staircase", "conjugate", "contains", "normalize_partition",
-    "partitions_in_box",
-    "SkewShape", "SkewTableau", "count_lr_tableaux", "dominance_zero",
-    "enumerate_lr_tableaux", "is_ballot", "is_lr_tableau",
-    "ValleyPermutation", "descent_set", "grassmannian_permutation",
-    "longest_with_descents_in", "shape_of_grassmannian",
-    "valley_from_permutation", "valley_from_shape",
-    "DimensionMismatchError", "ProblemError", "SchubertProblem", "dimension",
-    "refine_problem", "refine_to_full", "validate_problem",
-    "FilteredTableau", "count_filtered_tableaux", "count_monk_chains",
-    "enumerate_filtered_tableaux", "intersection_number", "valley_coefficient",
-    "IntPolynomial",
-    "a_bruhat_leq", "coefficient_identity_check", "descent_support_check",
-    "iterate_monk", "monk_multiply", "oracle_coefficient",
-    "oracle_intersection_number", "restrict_shape", "schubert_expand",
-    "schubert_polynomial", "staircase_coefficient",
-]
+# each "from .module import *" also binds the module's name here; the
+# fresh list keeps "+=" from extending partitions.__all__ in place
+__all__ = []
+__all__ += partitions.__all__
+__all__ += tableaux.__all__
+__all__ += permutations.__all__
+__all__ += problems.__all__
+__all__ += filtered.__all__
+__all__ += polynomials.__all__
+__all__ += oracle.__all__

@@ -103,7 +103,6 @@ from .tableaux import count_lr_tableaux
 __all__ = [
     "schubert_polynomial",
     "staircase_coefficient",
-    "class_coefficient",
     "oracle_intersection_number",
     "oracle_coefficient",
     "schubert_expand",
@@ -202,8 +201,6 @@ def _class_product(words: Iterable[tuple[int, ...]], n: int) -> IntPolynomial:
     poly = IntPolynomial.one(n)
     for w in words:
         poly = poly * schubert_polynomial(w)
-        if poly.is_zero:
-            break
     return poly
 
 

@@ -21,12 +21,7 @@ from typing import Iterable, Sequence
 from .partitions import as_int, cut_position, cut_set, normalize_partition, partition_in_rectangle
 
 __all__ = [
-    "check_permutation",
-    "identity",
-    "length",
     "descent_set",
-    "dual",
-    "swap_positions",
     "grassmannian_permutation",
     "shape_of_grassmannian",
     "longest_with_descents_in",

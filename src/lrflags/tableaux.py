@@ -38,7 +38,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import accumulate
-from operator import index, lt, sub
+from operator import lt, sub
 from typing import Iterable, Iterator, Sequence
 
 from .partitions import as_int, contains, normalize_partition
@@ -107,11 +107,7 @@ class SkewTableau:
     rows: tuple[tuple[int, ...], ...]
 
     def __post_init__(self) -> None:
-        rows = tuple(map(tuple, self.rows))  # a one-shot iterator could not be read again
-        try:
-            rows = tuple(tuple(map(index, row)) for row in rows)
-        except TypeError:  # coerce again, only to name the bad entry
-            rows = tuple(tuple(map(as_int, row)) for row in rows)
+        rows = tuple(tuple(map(as_int, row)) for row in self.rows)
         outer, inner = self.shape.outer, self.shape.inner
         if len(rows) != len(outer):
             raise ValueError("one entry row per shape row required")

@@ -8,6 +8,8 @@ import re
 from contextlib import redirect_stdout
 from pathlib import Path
 
+import lrflags
+
 ROOT = Path(__file__).resolve().parents[1]
 TRACE_LAYERS = ROOT / "perfbench" / "trace_layers.py"
 
@@ -112,8 +114,9 @@ def test_cli_enumerates_in_the_wider_region(monkeypatch, tmp_path):
 
 
 def test_library_imports_only_what_it_uses():
-    # an imported name must be used, or re-exported through __all__; the
-    # one exception is a name the layer tracer patches on that module
+    # an imported name must be used, or re-exported through __all__ or a
+    # "*" import; the one exception is a name the layer tracer patches on
+    # that module
     patched = {(module, attr) for module, attr, _ in _trace_patches()}
     unused = []
     for path in sorted((ROOT / "src" / "lrflags").glob("*.py")):
@@ -124,6 +127,7 @@ def test_library_imports_only_what_it_uses():
             if isinstance(node, (ast.Import, ast.ImportFrom))
             and not (isinstance(node, ast.ImportFrom) and node.module == "__future__")
             for alias in node.names
+            if alias.name != "*"
         }
         used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
         module = f"lrflags.{path.stem}" if path.stem != "__init__" else "lrflags"
@@ -143,7 +147,8 @@ def test_library_exports_have_a_caller():
         path.stem: ast.parse(path.read_text(encoding="utf-8"))
         for path in sorted((ROOT / "src" / "lrflags").glob("*.py"))
     }
-    reexported = _all_names(trees.pop("__init__"))
+    del trees["__init__"]
+    reexported = set(lrflags.__all__)
     patched = {attr.split(".")[0] for _, attr, _ in _trace_patches()}
     used = set()
     for stem, tree in trees.items():
@@ -177,6 +182,28 @@ def test_library_exports_have_a_caller():
     named = set(re.findall(r"`(\w+)`", library)) | set(re.findall(r"\w+", library.split("```")[1]))
     unnamed = sorted(reexported - named)
     assert not unnamed, unnamed
+
+
+def test_package_reexports_each_module_surface():
+    # the package's surface is the union of its library modules' __all__
+    # lists, each declared once in its module's source and never extended
+    # at run time, and "from lrflags import *" binds exactly that surface
+    stems = [
+        path.stem for path in sorted((ROOT / "src" / "lrflags").glob("*.py"))
+        if path.stem not in ("__init__", "cli")
+    ]
+    owner = {}
+    for stem in stems:
+        module = importlib.import_module(f"lrflags.{stem}")
+        tree = ast.parse((ROOT / "src" / "lrflags" / f"{stem}.py").read_text(encoding="utf-8"))
+        assert sorted(module.__all__) == sorted(_all_names(tree)), stem
+        for name in module.__all__:
+            assert owner.setdefault(name, stem) == stem, (name, owner[name], stem)
+            assert getattr(lrflags, name) is getattr(module, name), (stem, name)
+    assert sorted(lrflags.__all__) == sorted(owner)
+    namespace = {}
+    exec("from lrflags import *", namespace)
+    assert sorted(namespace.keys() - {"__builtins__"}) == sorted(lrflags.__all__)
 
 
 def _sibling_imports(stem):
